@@ -10,7 +10,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -45,6 +44,8 @@
 #include "variation/criticality.h"
 #include "variation/lifetime.h"
 #include "variation/variation.h"
+
+#include "support/reference.h"  // naive oracles for the "before" legs
 
 using namespace nbtisim;
 
@@ -268,32 +269,32 @@ AgingCase case_dvth_eval_kernel(const netlist::Netlist& nl,
                                 const tech::Library& lib) {
   // The dVth-evaluation portion of a 64-point degradation series — the part
   // the SoA kernel layout changes (the STA half of the series is untouched):
-  // scalar per-device calls vs the SoA kernel, both single-threaded, on warm
-  // stress descriptors.  Horizons start at 2e6 s so the telescoped tail
-  // (not the exact-recursion head both paths share) dominates.
-  aging::AgingConditions scalar_cond, soa_cond;
-  scalar_cond.sp_vectors = soa_cond.sp_vectors = 1024;
-  scalar_cond.n_threads = soa_cond.n_threads = 1;
-  scalar_cond.use_soa_kernel = false;
-  soa_cond.use_soa_kernel = true;
-  const aging::AgingAnalyzer scalar_an(nl, lib, scalar_cond);
-  const aging::AgingAnalyzer soa_an(nl, lib, soa_cond);
+  // the naive oracle (one-shot per-device calls, stress rebuilt per
+  // horizon) vs the SoA kernel on warm stress descriptors, both
+  // single-threaded.  Horizons start at 2e6 s so the telescoped tail (not
+  // the exact-recursion head both paths share) dominates.
+  aging::AgingConditions cond;
+  cond.sp_vectors = 1024;
+  cond.n_threads = 1;
+  const aging::AgingAnalyzer soa_an(nl, lib, cond);
   const auto policy = aging::StandbyPolicy::all_stressed();
   constexpr int kPoints = 64;
   std::vector<double> horizons(kPoints);
   for (int i = 0; i < kPoints; ++i) {
     horizons[i] = 2e6 * std::pow(150.0, i / static_cast<double>(kPoints - 1));
   }
-  (void)scalar_an.gate_dvth(policy, horizons[0]);  // warm the descriptors
-  (void)soa_an.gate_dvth(policy, horizons[0]);
+  (void)soa_an.gate_dvth(policy, horizons[0]);  // warm the descriptors
 
   AgingCase c{"dvth_eval_64pt_kernel", nl.name(), 0, 0, false};
   std::vector<std::vector<double>> scalar_out(kPoints), soa_out(kPoints);
-  c.serial_ms = time_ms([&] {
-    for (int i = 0; i < kPoints; ++i) {
-      scalar_out[i] = scalar_an.gate_dvth(policy, horizons[i]);
-    }
-  });
+  c.serial_ms = time_ms(
+      [&] {
+        for (int i = 0; i < kPoints; ++i) {
+          scalar_out[i] =
+              testsupport::reference_gate_dvth(soa_an, policy, horizons[i]);
+        }
+      },
+      1);  // seconds per pass: best-of-one is enough for the oracle leg
   c.parallel_ms = time_ms([&] {
     for (int i = 0; i < kPoints; ++i) {
       soa_out[i] = soa_an.gate_dvth(policy, horizons[i]);
@@ -637,13 +638,14 @@ void write_bench_variation_json(const char* path) {
 // ---------------------------------------------------------------------------
 // Self-timed section -> BENCH_sizing.json.
 //
-// Three legs of the sizing loop: "serial" reproduces the seed cost model
-// (one thread, brute-force full delay rebuild + full STA per candidate
-// trial), "incremental" keeps one thread but patches only the affected
-// delays per trial, "parallel" adds 8 worker threads on top.  All three are
-// asserted bit-identical — the differential suite's contract, re-checked on
-// every bench run.  A fourth case times the horizon-batched derate table
-// against the naive per-cell evaluation.
+// Three legs of the sizing loop: "serial" is the brute-force oracle
+// testsupport::reference_size_for_lifetime (one thread, full delay rebuild
+// + full STA per candidate trial), "incremental" is the production loop on
+// one thread (patches only the affected delays per trial), "parallel" adds
+// 8 worker threads on top.  All three are asserted bit-identical — the
+// differential suite's contract, re-checked on every bench run.  A second
+// case times the horizon-batched derate table against the naive per-cell
+// evaluation.
 
 struct SizingCase {
   std::string name;
@@ -666,9 +668,8 @@ SizingCase case_sizing(const netlist::Netlist& nl, const tech::Library& lib) {
   opt::SizingResult serial, incremental, parallel;
   opt::SizingParams p = base;
   p.n_threads = 1;
-  p.incremental = false;
-  c.serial_ms = time_ms([&] { serial = opt::size_for_lifetime(an, policy, p); });
-  p.incremental = true;
+  c.serial_ms = time_ms(
+      [&] { serial = testsupport::reference_size_for_lifetime(an, policy, p); });
   c.incremental_ms =
       time_ms([&] { incremental = opt::size_for_lifetime(an, policy, p); });
   p.n_threads = 8;
@@ -1020,65 +1021,11 @@ void write_bench_campaign_json(const char* path) {
 // ---------------------------------------------------------------------------
 // Self-timed section -> BENCH_pool.json.
 //
-// Prices the shared work pool against the spawn-per-call execution it
-// replaced. Two cases:
-//  - dispatch overhead: many small parallel_for calls (the MC / search /
-//    campaign inner-loop shape) through the pool vs. a local reimplementation
-//    of the old spawn-k-threads-per-call loop — same atomic hand-out, same
-//    body, only the execution vehicle differs;
-//  - the 12-task campaign scheduler on the sharded store at 1 vs 8 threads,
-//    with every shard file asserted byte-identical. On multicore hardware
-//    this is where the pool must finally beat serial (the spawn-based
-//    scheduler lost at 0.85x, see BENCH_campaign.json history).
-
-/// The seed implementation's cost model: k fresh threads per call pulling
-/// indices off one shared atomic counter.
-template <typename Body>
-void spawn_parallel_for(int n, int n_threads, Body&& body) {
-  const int k = std::min(common::resolve_threads(n_threads), n);
-  if (k <= 1) {
-    for (int i = 0; i < n; ++i) body(i);
-    return;
-  }
-  std::atomic<int> next{0};
-  auto worker = [&] {
-    for (;;) {
-      const int i = next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= n) return;
-      body(i);
-    }
-  };
-  std::vector<std::thread> threads;
-  threads.reserve(k - 1);
-  for (int t = 0; t < k - 1; ++t) threads.emplace_back(worker);
-  worker();
-  for (std::thread& t : threads) t.join();
-}
+// The 12-task campaign scheduler on the 16-shard store at 1 vs 8 threads,
+// with every shard file asserted byte-identical: on multicore hardware this
+// is where the shared work pool must beat serial.
 
 void write_bench_pool_json(const char* path) {
-  // Case 1: dispatch overhead over many small loops.
-  constexpr int kCalls = 2000;
-  constexpr int kN = 256;
-  std::vector<double> spawn_out(kN), pool_out(kN), serial_out(kN);
-  const auto body = [](std::vector<double>& out, int i) {
-    out[i] = std::sqrt(static_cast<double>(i) + 1.0) * 1.0000001;
-  };
-  for (int i = 0; i < kN; ++i) body(serial_out, i);
-
-  const double spawn_ms = time_ms([&] {
-    for (int c = 0; c < kCalls; ++c) {
-      spawn_parallel_for(kN, 4, [&](int i) { body(spawn_out, i); });
-    }
-  });
-  const double pool_ms = time_ms([&] {
-    for (int c = 0; c < kCalls; ++c) {
-      common::parallel_for(kN, 4, [&](int i) { body(pool_out, i); });
-    }
-  });
-  const bool dispatch_identical =
-      spawn_out == serial_out && pool_out == serial_out;
-
-  // Case 2: the campaign scheduler on the 16-shard layout, 1 vs 8 threads.
   const std::string serial_store = "BENCH_pool_serial.jsonl";
   const std::string parallel_store = "BENCH_pool_parallel.jsonl";
   const auto drop_store = [](const std::string& base) {
@@ -1114,20 +1061,14 @@ void write_bench_pool_json(const char* path) {
             slurp(campaign::ShardedStore::shard_path(parallel_store, h));
   }
 
-  const double dispatch_speedup = pool_ms > 0.0 ? spawn_ms / pool_ms : 0.0;
   const double campaign_speedup =
       campaign_parallel_ms > 0.0 ? campaign_serial_ms / campaign_parallel_ms
                                  : 0.0;
   std::ofstream out(path);
-  out << "{\n  \"schema\": \"nbtisim-bench-pool-v1\",\n"
+  out << "{\n  \"schema\": \"nbtisim-bench-pool-v2\",\n"
       << "  \"hardware_concurrency\": "
       << std::thread::hardware_concurrency() << ",\n"
       << "  \"cases\": [\n"
-      << "    {\"name\": \"dispatch_2000x256\", \"spawn_ms\": " << spawn_ms
-      << ", \"pool_ms\": " << pool_ms
-      << ", \"speedup_vs_spawn\": " << dispatch_speedup
-      << ", \"bit_identical\": " << (dispatch_identical ? "true" : "false")
-      << "},\n"
       << "    {\"name\": \"campaign_sharded_12_tasks\", \"serial_ms\": "
       << campaign_serial_ms << ", \"parallel_ms\": " << campaign_parallel_ms
       << ", \"speedup\": " << campaign_speedup
@@ -1137,9 +1078,6 @@ void write_bench_pool_json(const char* path) {
       << "  ]\n}\n";
 
   std::cout << "bench_perf_micro: wrote " << path
-            << "\n  dispatch_2000x256: spawn " << spawn_ms << " ms, pool "
-            << pool_ms << " ms, speedup x" << dispatch_speedup
-            << (dispatch_identical ? " (bit-identical)" : " (MISMATCH!)")
             << "\n  campaign_sharded_12_tasks: serial " << campaign_serial_ms
             << " ms, 8-thread " << campaign_parallel_ms << " ms, speedup x"
             << campaign_speedup

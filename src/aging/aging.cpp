@@ -120,8 +120,8 @@ AgingAnalyzer::stress_descriptors(const StandbyPolicy& policy) const {
     desc->gate_begin[gi + 1] =
         desc->gate_begin[gi] + static_cast<int>(cell.pmos_devices().size());
   }
-  desc->devices.resize(desc->gate_begin.back());
-  desc->contexts.resize(desc->gate_begin.back());
+  std::vector<nbti::DeviceAging::StressContext> contexts(
+      desc->gate_begin.back());
 
   const nbti::DeviceAging model(cond_.rd, cond_.method);
   common::parallel_for(nl_->num_gates(), cond_.n_threads, [&](int gi) {
@@ -172,14 +172,11 @@ AgingAnalyzer::stress_descriptors(const StandbyPolicy& policy) const {
           break;
         }
       }
-      desc->devices[slot] = stress;
-      desc->contexts[slot] = model.make_context(stress, cond_.schedule);
+      contexts[slot] = model.make_context(stress, cond_.schedule);
       ++slot;
     }
   });
-  if (cond_.use_soa_kernel) {
-    desc->kernel = nbti::RdKernel(model, desc->contexts);
-  }
+  desc->kernel = nbti::RdKernel(model, std::move(contexts));
 
   std::lock_guard<std::mutex> lock(cache_mutex_);
   // Another thread may have built the same policy concurrently; reuse its
@@ -241,46 +238,34 @@ std::vector<double> AgingAnalyzer::gate_dvth(
   const double horizon = total_time.value_or(cond_.total_time);
   const std::shared_ptr<const StressDescriptors> desc =
       stress_descriptors(policy);
-  const nbti::DeviceAging model(cond_.rd, cond_.method);
 
-  // Evaluation phase: embarrassingly parallel over gates; each gate writes
-  // only its own slot, so the result is identical for every thread count.
+  // Evaluation phase: gate chunks wide enough for the kernel's packed inner
+  // loop; each gate writes only its own slot, so the result is identical
+  // for every thread count and chunk size.  Chunks own disjoint device
+  // ranges, so they can share the two device-wide work buffers —
+  // thread-local so horizon sweeps (degradation series, table builds,
+  // crossing-time scans) pay no per-call allocation.  Each calling thread
+  // owns its pair; pool workers only write the disjoint slices they are
+  // handed.
   std::vector<double> dvth(nl_->num_gates(), 0.0);
-  if (cond_.use_soa_kernel) {
-    // Gate chunks wide enough for the kernel's packed inner loop; outputs
-    // are per-gate slots either way, so this is bit-identical to the scalar
-    // loop below at every thread count and chunk size.  Chunks own disjoint
-    // device ranges, so they can share the two device-wide work buffers —
-    // thread-local so horizon sweeps (degradation series, table builds,
-    // crossing-time scans) pay no per-call allocation.  Each calling thread
-    // owns its pair; pool workers only write the disjoint slices they are
-    // handed.
-    static thread_local std::vector<double> dev_out;
-    static thread_local std::vector<double> dev_scratch;
-    if (dev_out.size() < desc->contexts.size()) {
-      dev_out.resize(desc->contexts.size());
-      dev_scratch.resize(desc->contexts.size());
-    }
-    // Lambdas do not capture thread_locals — a pool worker would see its own
-    // (empty) instances — so hand the workers spans bound on this thread.
-    const std::span<double> dev_span(dev_out);
-    const std::span<double> scratch_span(dev_scratch);
-    const int n_chunks =
-        (nl_->num_gates() + kKernelGateChunk - 1) / kKernelGateChunk;
-    common::parallel_for(n_chunks, cond_.n_threads, [&](int c) {
-      const int g_lo = c * kKernelGateChunk;
-      const int g_hi = std::min(nl_->num_gates(), g_lo + kKernelGateChunk);
-      desc->kernel.worst_per_gate(horizon, desc->gate_begin, g_lo, g_hi,
-                                  dvth, dev_span, scratch_span);
-    });
-    return dvth;
+  const auto n_devices = static_cast<std::size_t>(desc->kernel.num_devices());
+  static thread_local std::vector<double> dev_out;
+  static thread_local std::vector<double> dev_scratch;
+  if (dev_out.size() < n_devices) {
+    dev_out.resize(n_devices);
+    dev_scratch.resize(n_devices);
   }
-  common::parallel_for(nl_->num_gates(), cond_.n_threads, [&](int gi) {
-    double worst = 0.0;
-    for (int i = desc->gate_begin[gi]; i < desc->gate_begin[gi + 1]; ++i) {
-      worst = std::max(worst, model.delta_vth(desc->contexts[i], horizon));
-    }
-    dvth[gi] = worst;
+  // Lambdas do not capture thread_locals — a pool worker would see its own
+  // (empty) instances — so hand the workers spans bound on this thread.
+  const std::span<double> dev_span(dev_out);
+  const std::span<double> scratch_span(dev_scratch);
+  const int n_chunks =
+      (nl_->num_gates() + kKernelGateChunk - 1) / kKernelGateChunk;
+  common::parallel_for(n_chunks, cond_.n_threads, [&](int c) {
+    const int g_lo = c * kKernelGateChunk;
+    const int g_hi = std::min(nl_->num_gates(), g_lo + kKernelGateChunk);
+    desc->kernel.worst_per_gate(horizon, desc->gate_begin, g_lo, g_hi, dvth,
+                                dev_span, scratch_span);
   });
   return dvth;
 }

@@ -95,11 +95,6 @@ struct AgingConditions {
   /// Optional per-gate delay multipliers (>= 1), e.g. the series-sleep-
   /// device penalty of a control-point-modified driver. Empty = all 1.
   std::vector<double> gate_delay_scale;
-  /// Evaluate per-gate dVth through the structure-of-arrays kernel
-  /// (nbti::RdKernel) instead of per-device scalar calls.  Bit-identical to
-  /// the scalar path at every thread count (differential-tested), so this is
-  /// purely a speed knob; turn it off to benchmark or debug the scalar path.
-  bool use_soa_kernel = true;
 };
 
 /// Full circuit degradation report.
@@ -129,10 +124,13 @@ class AgingAnalyzer {
   ///
   /// Two-phase: per-gate/per-PMOS stress descriptors (standby-vector
   /// simulation + signal-probability propagation) are built once per
-  /// distinct policy and cached; each call then only evaluates the device
-  /// model against the cached descriptors, in parallel over gates
-  /// (AgingConditions::n_threads).  Repeated calls with different horizons
-  /// — degradation_series in particular — skip the whole build phase.
+  /// distinct policy and cached; each call then only sweeps the cached
+  /// descriptors through the structure-of-arrays nbti::RdKernel, in
+  /// parallel over gate chunks (AgingConditions::n_threads).  The sweep is
+  /// bit-identical to max-of-DeviceAging::delta_vth per gate — the naive
+  /// oracle testsupport::reference_gate_dvth (tests/support/reference.h)
+  /// enforces that.  Repeated calls with different horizons —
+  /// degradation_series in particular — skip the whole build phase.
   std::vector<double> gate_dvth(const StandbyPolicy& policy,
                                 std::optional<double> total_time = {}) const;
 
@@ -153,7 +151,7 @@ class AgingAnalyzer {
   /// \p points_per_decade resolution — the interpolation substrate for the
   /// Monte-Carlo lifetime / failure crossing-time loops.  Built once per
   /// (policy, range, resolution) and cached like the stress descriptors;
-  /// sampling goes through gate_dvth (SoA kernel when enabled).  Tolerance:
+  /// sampling goes through gate_dvth.  Tolerance:
   /// DvthTable::rel_error_bound(table->grid_ratio()) per single-device
   /// curve; see dvth_table.h.
   std::shared_ptr<const nbti::DvthTable> dvth_table(
@@ -194,16 +192,13 @@ class AgingAnalyzer {
 
  private:
   /// Build-once product of the pipeline's per-policy phase: every PMOS
-  /// device's stress descriptor, flattened over gates.  Only the horizon
-  /// argument of the device model varies between evaluations.
+  /// device's evaluation state (equivalent cycle, K_v, S_n prefix) under
+  /// cond_.schedule, flattened over gates and packed into the SoA kernel,
+  /// which owns the only copy.  Only the horizon varies between
+  /// evaluations, and each horizon is O(1) per device.
   struct StressDescriptors {
-    StandbyPolicy policy;                      // cache key
-    std::vector<nbti::DeviceStress> devices;   // flattened per-gate runs
-    /// Precomputed per-device evaluation state (equivalent cycle, K_v,
-    /// S_n prefix) under cond_.schedule: makes each horizon O(1) per device.
-    std::vector<nbti::DeviceAging::StressContext> contexts;
-    std::vector<int> gate_begin;               // size num_gates + 1
-    /// SoA evaluator over `contexts` (AgingConditions::use_soa_kernel).
+    StandbyPolicy policy;         // cache key
+    std::vector<int> gate_begin;  // size num_gates + 1, CSR into kernel
     nbti::RdKernel kernel;
   };
 

@@ -122,6 +122,9 @@ FailureReport analyze_failure(const AgingAnalyzer& analyzer,
     throw std::invalid_argument(
         "analyze_failure: table_points_per_decade < 1");
   }
+  if (params.multi.pbti.ratio < 0.0) {
+    throw std::invalid_argument("analyze_failure: negative pbti ratio");
+  }
 
   const netlist::Netlist& nl = analyzer.sta().netlist();
   const tech::Library& lib = analyzer.sta().library();
@@ -179,48 +182,31 @@ FailureReport analyze_failure(const AgingAnalyzer& analyzer,
     MechanismMttf m;
     m.name = "pbti";
     m.gate_mttf.assign(n_gates, kNeverFails);
-    if (cond.use_soa_kernel && params.multi.pbti.ratio >= 0.0) {
-      // One context build + SoA kernel sweep per grid point.  Scaling the
-      // per-gate maximum by the (non-negative) ratio equals the scalar
-      // max-of-scaled reduction bit for bit: rounded multiplication by a
-      // non-negative constant is monotone, and every dVth is >= 0.
-      std::vector<nbti::DeviceAging::StressContext> ctxs(pbti.devices.size());
-      for (std::size_t di = 0; di < pbti.devices.size(); ++di) {
-        ctxs[di] = model.make_context(pbti.devices[di], cond.schedule);
-      }
-      const nbti::RdKernel kernel(model, std::move(ctxs));
-      std::vector<std::vector<double>> worst_at(
-          n_points, std::vector<double>(n_gates, 0.0));
-      std::vector<double> dev_out(pbti.devices.size());
-      std::vector<double> dev_scratch(pbti.devices.size());
-      for (int i = 0; i < n_points; ++i) {
-        kernel.worst_per_gate(t_sec[i], pbti.gate_begin, 0, n_gates,
-                              worst_at[i], dev_out, dev_scratch);
-      }
-      common::parallel_for(n_gates, params.n_threads, [&](int gi) {
-        std::vector<double> worst(n_points);
-        for (int i = 0; i < n_points; ++i) {
-          worst[i] = params.multi.pbti.ratio * worst_at[i][gi];
-        }
-        m.gate_mttf[gi] =
-            crossing_time(t_sec, worst, params.fail_dvth) / kSecondsPerYear;
-      });
-    } else {
-      common::parallel_for(n_gates, params.n_threads, [&](int gi) {
-        std::vector<double> worst(n_points, 0.0);
-        for (int di = pbti.gate_begin[gi]; di < pbti.gate_begin[gi + 1];
-             ++di) {
-          const nbti::DeviceAging::StressContext ctx =
-              model.make_context(pbti.devices[di], cond.schedule);
-          for (int i = 0; i < n_points; ++i) {
-            worst[i] = std::max(worst[i], params.multi.pbti.ratio *
-                                              model.delta_vth(ctx, t_sec[i]));
-          }
-        }
-        m.gate_mttf[gi] =
-            crossing_time(t_sec, worst, params.fail_dvth) / kSecondsPerYear;
-      });
+    // One context build + SoA kernel sweep per grid point.  Scaling the
+    // per-gate maximum by the (non-negative, checked above) ratio equals the
+    // max-of-scaled reduction bit for bit: rounded multiplication by a
+    // non-negative constant is monotone, and every dVth is >= 0.
+    std::vector<nbti::DeviceAging::StressContext> ctxs(pbti.devices.size());
+    for (std::size_t di = 0; di < pbti.devices.size(); ++di) {
+      ctxs[di] = model.make_context(pbti.devices[di], cond.schedule);
     }
+    const nbti::RdKernel kernel(model, std::move(ctxs));
+    std::vector<std::vector<double>> worst_at(
+        n_points, std::vector<double>(n_gates, 0.0));
+    std::vector<double> dev_out(pbti.devices.size());
+    std::vector<double> dev_scratch(pbti.devices.size());
+    for (int i = 0; i < n_points; ++i) {
+      kernel.worst_per_gate(t_sec[i], pbti.gate_begin, 0, n_gates,
+                            worst_at[i], dev_out, dev_scratch);
+    }
+    common::parallel_for(n_gates, params.n_threads, [&](int gi) {
+      std::vector<double> worst(n_points);
+      for (int i = 0; i < n_points; ++i) {
+        worst[i] = params.multi.pbti.ratio * worst_at[i][gi];
+      }
+      m.gate_mttf[gi] =
+          crossing_time(t_sec, worst, params.fail_dvth) / kSecondsPerYear;
+    });
     rep.mechanisms.push_back(std::move(m));
   }
 

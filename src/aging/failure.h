@@ -103,8 +103,8 @@ double crossing_time(std::span<const double> times,
 
 /// Runs the failure suite on \p analyzer's circuit under \p policy.
 /// \throws std::invalid_argument for a Rotating policy with an empty
-///         rotation, non-positive fail_dvth/max_years/weibull_beta, or
-///         time_points < 2
+///         rotation, non-positive fail_dvth/max_years/weibull_beta,
+///         time_points < 2, or a negative multi.pbti.ratio
 FailureReport analyze_failure(const AgingAnalyzer& analyzer,
                               const StandbyPolicy& policy,
                               const FailureParams& params = {});

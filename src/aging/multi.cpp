@@ -101,6 +101,10 @@ MultiAgingReport analyze_multi_mechanism(const AgingAnalyzer& analyzer,
                                          const StandbyPolicy& policy,
                                          const MultiAgingParams& params,
                                          std::optional<double> total_time) {
+  if (params.pbti.ratio < 0.0) {
+    throw std::invalid_argument(
+        "analyze_multi_mechanism: negative pbti ratio");
+  }
   const netlist::Netlist& nl = analyzer.sta().netlist();
   const tech::Library& lib = analyzer.sta().library();
   const AgingConditions& cond = analyzer.conditions();

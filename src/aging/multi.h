@@ -64,6 +64,7 @@ PbtiStressSet build_pbti_stress(const AgingAnalyzer& analyzer,
 /// PBTI (duty = signal probability of 1; standby state from the policy)
 /// plus the HCI contribution of the gate's switching activity.
 /// \throws std::invalid_argument for a Rotating policy with an empty rotation
+///         or a negative pbti.ratio
 MultiAgingReport analyze_multi_mechanism(const AgingAnalyzer& analyzer,
                                          const StandbyPolicy& policy,
                                          const MultiAgingParams& params = {},

@@ -1,6 +1,13 @@
 /// \file rd_kernel.h
 /// \brief Structure-of-arrays evaluation of the R-D degradation model across
-///        many devices at once — bit-identical to the scalar path.
+///        many devices at once — bit-identical to per-device
+///        DeviceAging::delta_vth calls.
+///
+/// This is the one production ΔVth evaluator for whole circuits:
+/// AgingAnalyzer::gate_dvth (and everything built on it) and the failure
+/// suite's PBTI sweep both go through it; there is no scalar fallback to
+/// select.  The per-device loop is the test oracle
+/// testsupport::reference_gate_dvth.
 ///
 /// DeviceAging::delta_vth(ctx, t) walks one StressContext at a time: an
 /// out-of-line call per device, scattered ~100-byte AoS loads, and a long
@@ -26,7 +33,7 @@
 /// are finished by a scalar fixup pass that calls DeviceAging::delta_vth on
 /// the stored context, so every output is bitwise equal to the scalar path
 /// by construction.  The differential suite (tests/test_differential.cpp)
-/// enforces exact equality.
+/// enforces exact equality, both per device and per gate against the oracle.
 #pragma once
 
 #include <span>
@@ -44,7 +51,8 @@ class RdKernel {
 
   /// Packs \p contexts (as produced by DeviceAging::make_context under one
   /// model) into SoA form.  The model is copied; contexts are kept for the
-  /// scalar fixup lanes.
+  /// scalar fixup lanes — callers move their vector in, so the kernel holds
+  /// the only copy.
   RdKernel(const DeviceAging& model,
            std::vector<DeviceAging::StressContext> contexts);
 

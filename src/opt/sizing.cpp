@@ -73,26 +73,15 @@ double SizedTiming::gate_delay(const std::vector<double>& sizes, int gi,
          aging_factor_[gi];
 }
 
-std::vector<double> SizedTiming::aged_delays(
-    const std::vector<double>& sizes) const {
-  const netlist::Netlist& nl = sta_->netlist();
-  if (static_cast<int>(sizes.size()) != nl.num_gates()) {
+void SizedTiming::set_sizes(std::vector<double> sizes) {
+  const int n_gates = sta_->netlist().num_gates();
+  if (static_cast<int>(sizes.size()) != n_gates) {
     throw std::invalid_argument("SizedTiming: sizes size mismatch");
   }
-  std::vector<double> delays(nl.num_gates());
-  for (int gi = 0; gi < nl.num_gates(); ++gi) {
-    delays[gi] = gate_delay(sizes, gi, -1, 0.0);
+  delays_.resize(n_gates);
+  for (int gi = 0; gi < n_gates; ++gi) {
+    delays_[gi] = gate_delay(sizes, gi, -1, 0.0);
   }
-  return delays;
-}
-
-sta::TimingResult SizedTiming::aged_timing(
-    const std::vector<double>& sizes) const {
-  return sta_->analyze(aged_delays(sizes));
-}
-
-void SizedTiming::set_sizes(std::vector<double> sizes) {
-  delays_ = aged_delays(sizes);  // validates the length
   sizes_ = std::move(sizes);
 }
 
@@ -285,15 +274,9 @@ SizingResult size_for_lifetime(const aging::AgingAnalyzer& analyzer,
     common::parallel_for(
         static_cast<int>(candidates.size()), n_threads, [&](int i) {
           const int gi = candidates[i];
-          const double new_size = r.sizes[gi] + params.size_step;
-          if (params.incremental) {
-            std::vector<double> scratch;
-            trials[i] = timing.evaluate_resize(gi, new_size, scratch);
-          } else {
-            std::vector<double> trial = r.sizes;
-            trial[gi] = new_size;
-            trials[i] = timing.aged_timing(trial);
-          }
+          std::vector<double> scratch;
+          trials[i] = timing.evaluate_resize(
+              gi, r.sizes[gi] + params.size_step, scratch);
         });
 
     int best = -1;

@@ -19,10 +19,14 @@
 /// folds the argmax serially in path order, so results are bit-identical for
 /// every SizingParams::n_threads — the same determinism contract as the
 /// MC/IVC/Pareto layers.  A resize only changes the delays of the resized
-/// gate and of its fanin drivers, so SizedTiming also offers an incremental
-/// path that patches just those entries into a cached delay vector instead
-/// of rebuilding all num_gates() delays per trial; both paths are verified
-/// against a naive reference evaluator by tests/test_differential.cpp.
+/// gate and of its fanin drivers, so each trial patches just those entries
+/// into a scratch copy of SizedTiming's cached delay vector and runs one
+/// full STA.  The brute-force loop (rebuild every delay per trial) is the
+/// test oracle testsupport::reference_size_for_lifetime, which
+/// tests/test_differential.cpp compares this loop against bit for bit.
+/// Pricing this loop's trials through sta::IncrementalSta instead is also
+/// bit-identical, but measured slower on single-path rounds, so it is
+/// reserved for the multi-path mode below.
 ///
 /// Setting SizingParams::slack_window_percent > 0 switches the loop to
 /// slack-aware multi-path sizing: each round collects every gate whose
@@ -53,11 +57,6 @@ struct SizingParams {
   /// Worker threads for the per-move candidate evaluation; 0 = hardware
   /// concurrency.  Results are bit-identical for every value.
   int n_threads = 0;
-  /// Use the incremental SizedTiming path (patch only the affected delays
-  /// per trial).  false forces the brute-force full-rebuild path; both are
-  /// bit-identical — the flag exists for benchmarking and differential
-  /// testing, not for accuracy.
-  bool incremental = true;
   /// Slack window for multi-path candidate collection, as a percentage of
   /// the aged critical delay.  0 (the default) keeps the classic
   /// single-critical-path greedy loop bit for bit; > 0 considers every
@@ -99,14 +98,11 @@ struct SizingResult {
 /// capacitance together, so delay_g = cell_delay(load_g(sizes) / s_g) *
 /// aging_factor_g with aging_factor from the per-gate dVth (paper eq. 22).
 ///
-/// Two evaluation paths, bit-identical by construction (both compute each
-/// delay entry with the same expression in the same accumulation order):
-///   - brute force: aged_delays()/aged_timing() rebuild every gate delay
-///     from the given size vector on each call;
-///   - incremental: set_sizes() caches the delay vector once, and
-///     evaluate_resize()/commit_resize() recompute only the affected gates
-///     (the resized gate, whose drive changed, and its fanin drivers, whose
-///     load changed).
+/// set_sizes() caches the delay vector once; evaluate_resize()/
+/// commit_resize()/patched_delay() then recompute only the affected gates
+/// (the resized gate, whose drive changed, and its fanin drivers, whose
+/// load changed), with the same expression and accumulation order as a
+/// full rebuild — so every patched entry is bitwise the rebuilt one.
 /// Query methods are const and safe to call concurrently for distinct
 /// scratch vectors; commit_resize()/set_sizes() are not.
 class SizedTiming {
@@ -116,17 +112,6 @@ class SizedTiming {
   /// \throws std::invalid_argument when dvth size mismatches the netlist
   SizedTiming(const aging::AgingAnalyzer& analyzer,
               const std::vector<double>& dvth);
-
-  // --- brute-force path (the differential-testing baseline) ---
-
-  /// All num_gates() aged delays for the given size factors, rebuilt from
-  /// scratch. \throws std::invalid_argument on a size-vector length mismatch
-  std::vector<double> aged_delays(const std::vector<double>& sizes) const;
-
-  /// Aged critical delay for the given size factors (full rebuild + STA).
-  sta::TimingResult aged_timing(const std::vector<double>& sizes) const;
-
-  // --- incremental path ---
 
   /// (Re)initializes the cached sizes + delay vector.
   /// \throws std::invalid_argument on a size-vector length mismatch
@@ -166,7 +151,7 @@ class SizedTiming {
  private:
   /// Delay of gate \p gi under \p sizes, with gate \p resized (-1 for none)
   /// overridden to \p resized_size.  The single source of truth for every
-  /// path above — sharing it is what makes the paths bit-identical.
+  /// method above — sharing it is what makes a patch equal a rebuild.
   double gate_delay(const std::vector<double>& sizes, int gi, int resized,
                     double resized_size) const;
 

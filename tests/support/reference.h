@@ -1,9 +1,10 @@
 /// \file reference.h
 /// \brief Deliberately naive reference evaluators for the differential tests.
 ///
-/// Each function here recomputes a result the slow, obvious way — full delay
-/// rebuild + full STA per sizing trial, a fresh analyze() per derate cell, a
-/// serial loop per electrothermal sweep — and serves as the oracle that
+/// Each function here recomputes a result the slow, obvious way — one-shot
+/// per-device ΔVth calls per gate, full delay rebuild + full STA per sizing
+/// trial, a fresh analyze() per derate cell, a serial loop per
+/// electrothermal sweep — and serves as the oracle that
 /// tests/test_differential.cpp property-tests the optimized engines against
 /// across random netlists, seeds, thread counts and horizons.  Keep them
 /// boring: no caching, no incremental updates, no parallelism.  The one
@@ -14,6 +15,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <string>
 #include <string_view>
@@ -31,6 +33,77 @@
 #include "thermal/electrothermal.h"
 
 namespace nbtisim::testsupport {
+
+/// Worst-PMOS ΔVth per gate after \p total_time under \p policy, rebuilt
+/// from public inputs only: signal_stats() through each cell's signal
+/// probabilities, the PMOS gate signals, and a fresh simulation of every
+/// standby vector.  Each device is evaluated with the one-shot
+/// DeviceAging::delta_vth(stress, schedule, t) — no stress contexts, no
+/// descriptor cache, no SoA kernel — and the gate keeps the maximum, in
+/// device order starting from 0.
+inline std::vector<double> reference_gate_dvth(
+    const aging::AgingAnalyzer& analyzer, const aging::StandbyPolicy& policy,
+    double total_time) {
+  const netlist::Netlist& nl = analyzer.sta().netlist();
+  const tech::Library& lib = analyzer.sta().library();
+  const aging::AgingConditions& cond = analyzer.conditions();
+  const sim::SignalStats& stats = analyzer.signal_stats();
+  const nbti::DeviceAging model(cond.rd, cond.method);
+
+  std::vector<std::vector<bool>> standby_values;
+  if (policy.kind == aging::StandbyPolicy::Kind::Vector) {
+    standby_values.push_back(
+        sim::Simulator(nl).evaluate_forced(policy.vector, policy.forces));
+  } else if (policy.kind == aging::StandbyPolicy::Kind::Rotating) {
+    for (const std::vector<bool>& v : policy.rotation) {
+      standby_values.push_back(
+          sim::Simulator(nl).evaluate_forced(v, policy.forces));
+    }
+  }
+
+  std::vector<double> dvth(nl.num_gates(), 0.0);
+  for (int gi = 0; gi < nl.num_gates(); ++gi) {
+    const netlist::Gate& g = nl.gate(gi);
+    const tech::Cell& cell = lib.cell(analyzer.sta().gate_cell(gi));
+    std::vector<double> pin_sp;
+    for (netlist::NodeId in : g.fanins) pin_sp.push_back(stats.probability[in]);
+    const std::vector<double> sp = cell.signal_probabilities(pin_sp);
+
+    for (const tech::PmosDevice& pm : cell.pmos_devices()) {
+      nbti::DeviceStress stress;
+      stress.active_stress_prob = 1.0 - sp[pm.gate_signal];
+      stress.vgs = lib.params().vdd;
+      stress.vth0 = lib.params().pmos.vth0 +
+                    (cond.gate_vth_offsets.empty() ? 0.0
+                                                   : cond.gate_vth_offsets[gi]);
+      switch (policy.kind) {
+        case aging::StandbyPolicy::Kind::AllStressed:
+          stress.standby = nbti::StandbyMode::Stressed;
+          break;
+        case aging::StandbyPolicy::Kind::AllRelaxed:
+          stress.standby = nbti::StandbyMode::Relaxed;
+          break;
+        case aging::StandbyPolicy::Kind::Vector:
+        case aging::StandbyPolicy::Kind::Rotating: {
+          int stressed = 0;
+          for (const std::vector<bool>& values : standby_values) {
+            std::uint32_t bits = 0;
+            for (std::size_t pin = 0; pin < g.fanins.size(); ++pin) {
+              bits |= values[g.fanins[pin]] ? (1u << pin) : 0u;
+            }
+            stressed += cell.signal_values(bits)[pm.gate_signal] ? 0 : 1;
+          }
+          stress.standby_stress_fraction =
+              static_cast<double>(stressed) / standby_values.size();
+          break;
+        }
+      }
+      dvth[gi] = std::max(dvth[gi],
+                          model.delta_vth(stress, cond.schedule, total_time));
+    }
+  }
+  return dvth;
+}
 
 /// All aged gate delays for the given per-gate size factors, rebuilt from
 /// nothing: rediscovers the fanout structure on every call.

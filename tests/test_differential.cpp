@@ -2,7 +2,7 @@
 // SizedTiming, parallel sizing argmax, horizon-batched derate, batched
 // electrothermal sweeps, the SoA degradation kernel and the interpolated
 // dVth(t) tables) property-tested against the deliberately naive reference
-// evaluators — support/reference.h and the per-device scalar model — across
+// evaluators — support/reference.h and the per-device one-shot model — across
 // random dag: netlists, seeds, temperatures, duty cycles, thread counts and
 // horizons.  Kernel comparisons are exact (double ==): the optimized paths
 // are bit-identical to brute force by construction, and these tests are what
@@ -138,22 +138,17 @@ TEST(DifferentialTest, SizeForLifetimeMatchesReferenceAcrossThreadCounts) {
         testsupport::reference_size_for_lifetime(an, policy, base);
     EXPECT_GT(want.moves, 0);  // the comparison must exercise the loop
     for (int n_threads : {1, 2, 8}) {
-      for (bool incremental : {true, false}) {
-        SCOPED_TRACE(::testing::Message() << "n_threads=" << n_threads
-                                          << " incremental=" << incremental);
-        opt::SizingParams params = base;
-        params.n_threads = n_threads;
-        params.incremental = incremental;
-        const opt::SizingResult got =
-            opt::size_for_lifetime(an, policy, params);
-        EXPECT_EQ(got.sizes, want.sizes);
-        EXPECT_EQ(got.moves, want.moves);
-        EXPECT_EQ(got.met, want.met);
-        EXPECT_EQ(got.fresh_delay, want.fresh_delay);
-        EXPECT_EQ(got.spec, want.spec);
-        EXPECT_EQ(got.aged_before, want.aged_before);
-        EXPECT_EQ(got.aged_after, want.aged_after);
-      }
+      SCOPED_TRACE(::testing::Message() << "n_threads=" << n_threads);
+      opt::SizingParams params = base;
+      params.n_threads = n_threads;
+      const opt::SizingResult got = opt::size_for_lifetime(an, policy, params);
+      EXPECT_EQ(got.sizes, want.sizes);
+      EXPECT_EQ(got.moves, want.moves);
+      EXPECT_EQ(got.met, want.met);
+      EXPECT_EQ(got.fresh_delay, want.fresh_delay);
+      EXPECT_EQ(got.spec, want.spec);
+      EXPECT_EQ(got.aged_before, want.aged_before);
+      EXPECT_EQ(got.aged_after, want.aged_after);
     }
   }
 }
@@ -210,7 +205,7 @@ TEST(DifferentialTest, ElectrothermalSweepMatchesSerialReference) {
   }
 }
 
-// --- SoA kernel vs scalar device model ------------------------------------
+// --- SoA kernel vs the one-shot device model -------------------------------
 
 TEST(DifferentialTest, SoaKernelGateDvthMatchesScalarAcrossRandomCases) {
   const tech::Library lib;
@@ -240,11 +235,7 @@ TEST(DifferentialTest, SoaKernelGateDvthMatchesScalarAcrossRandomCases) {
     // scalar fixup path and still match bitwise.
     const bool exact = rep % 3 == 2;
     if (exact) cond.method = nbti::AcEvalMethod::ExactRecursion;
-    aging::AgingConditions scalar_cond = cond;
-    cond.use_soa_kernel = true;
-    scalar_cond.use_soa_kernel = false;
-    const aging::AgingAnalyzer soa(nl, lib, cond);
-    const aging::AgingAnalyzer ref(nl, lib, scalar_cond);
+    const aging::AgingAnalyzer an(nl, lib, cond);
 
     std::vector<bool> standby_vec(nl.num_inputs());
     for (std::size_t i = 0; i < standby_vec.size(); ++i) {
@@ -257,7 +248,7 @@ TEST(DifferentialTest, SoaKernelGateDvthMatchesScalarAcrossRandomCases) {
 
     // Horizons span t = 0, the exact-recursion head (small cycle counts) and
     // the telescoped tail; recursion cases stay below 1e7 s to keep the
-    // per-cycle reference affordable.
+    // per-cycle evaluation affordable.
     std::vector<double> horizons = {0.0};
     const double t_max_exp = exact ? 7.0 : 9.5;
     for (int h = 0; h < 3; ++h) {
@@ -269,8 +260,9 @@ TEST(DifferentialTest, SoaKernelGateDvthMatchesScalarAcrossRandomCases) {
         SCOPED_TRACE(::testing::Message()
                      << "rep=" << rep << " policy=" << p << " t=" << t
                      << (exact ? " exact" : " closed"));
-        const std::vector<double> got = soa.gate_dvth(policies[p], t);
-        const std::vector<double> want = ref.gate_dvth(policies[p], t);
+        const std::vector<double> got = an.gate_dvth(policies[p], t);
+        const std::vector<double> want =
+            testsupport::reference_gate_dvth(an, policies[p], t);
         ASSERT_EQ(got.size(), want.size());
         for (std::size_t g = 0; g < want.size(); ++g) {
           ASSERT_EQ(got[g], want[g]) << "gate " << g;
@@ -279,7 +271,7 @@ TEST(DifferentialTest, SoaKernelGateDvthMatchesScalarAcrossRandomCases) {
       }
     }
   }
-  // The acceptance bar: at least 100 randomized kernel-vs-scalar sweeps,
+  // The acceptance bar: at least 100 randomized kernel-vs-oracle sweeps,
   // every one an exact (bitwise) whole-circuit comparison.
   EXPECT_GE(checked, 100);
 }

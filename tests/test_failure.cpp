@@ -182,6 +182,17 @@ TEST_F(FailureSuiteTest, RejectsBadParameters) {
                std::invalid_argument);
 }
 
+TEST_F(FailureSuiteTest, RejectsNegativePbtiRatio) {
+  // Regression: a negative ratio used to slip past the parameter checks and
+  // yield all-infinite PBTI MTTFs, where nbti::pbti_delta_vth, the CLI and
+  // campaign specs all reject it.
+  aging::FailureParams p = params_;
+  p.multi.pbti.ratio = -0.35;
+  EXPECT_THROW(aging::analyze_failure(
+                   *analyzer_, aging::StandbyPolicy::all_stressed(), p),
+               std::invalid_argument);
+}
+
 // ---------------------------------------------------------------------------
 // Determinism contract (picked up by the ctest "determinism" label).
 

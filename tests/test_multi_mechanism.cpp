@@ -218,6 +218,16 @@ TEST_F(MultiMechanismTest, EmptyRotationIsRejectedNotNaN) {
                std::invalid_argument);
 }
 
+TEST_F(MultiMechanismTest, RejectsNegativePbtiRatio) {
+  // Regression: a negative ratio used to be floored silently to a zero PBTI
+  // shift instead of being rejected like nbti::pbti_delta_vth does.
+  aging::MultiAgingParams params;
+  params.pbti.ratio = -0.35;
+  EXPECT_THROW(aging::analyze_multi_mechanism(
+                   *analyzer_, aging::StandbyPolicy::all_stressed(), params),
+               std::invalid_argument);
+}
+
 TEST_F(MultiMechanismTest, PbtiStressSetMatchesReportShift) {
   // The exported stress set, evaluated through DeviceAging directly, must
   // reproduce the PBTI-only NMOS shifts of analyze_multi_mechanism.

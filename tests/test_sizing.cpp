@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "netlist/generators.h"
+#include "support/reference.h"
 
 namespace nbtisim::opt {
 namespace {
@@ -84,41 +85,38 @@ TEST_F(SizingTest, RelaxedPolicyNeedsLessWork) {
   EXPECT_LE(best.aged_before, worst.aged_before);
 }
 
+// The eval-path axis: the production loop (patched trials) against the
+// brute-force oracle (full delay rebuild + full STA per trial).
 TEST_F(SizingTest, BitIdenticalAcrossThreadCountsAndEvalPaths) {
   const SizingParams base{.spec_margin_percent = 4.0, .size_step = 0.5,
                           .max_moves = 150, .n_threads = 1};
-  const SizingResult want = size_for_lifetime(
+  const SizingResult want = testsupport::reference_size_for_lifetime(
       *analyzer_, aging::StandbyPolicy::all_stressed(), base);
   EXPECT_GT(want.moves, 0);
-  for (int n_threads : {2, 8}) {
-    for (bool incremental : {true, false}) {
-      SizingParams params = base;
-      params.n_threads = n_threads;
-      params.incremental = incremental;
-      const SizingResult got = size_for_lifetime(
-          *analyzer_, aging::StandbyPolicy::all_stressed(), params);
-      EXPECT_EQ(got.sizes, want.sizes)
-          << "n_threads=" << n_threads << " incremental=" << incremental;
-      EXPECT_EQ(got.moves, want.moves);
-      EXPECT_EQ(got.aged_after, want.aged_after);
-      EXPECT_EQ(got.met, want.met);
-    }
+  for (int n_threads : {1, 2, 8}) {
+    SizingParams params = base;
+    params.n_threads = n_threads;
+    const SizingResult got = size_for_lifetime(
+        *analyzer_, aging::StandbyPolicy::all_stressed(), params);
+    EXPECT_EQ(got.sizes, want.sizes) << "n_threads=" << n_threads;
+    EXPECT_EQ(got.moves, want.moves);
+    EXPECT_EQ(got.aged_after, want.aged_after);
+    EXPECT_EQ(got.met, want.met);
   }
 }
 
 TEST_F(SizingTest, IncrementalMatchesFullRebuild) {
-  const SizingParams full{.spec_margin_percent = 3.0, .size_step = 0.5,
-                          .max_moves = 200, .n_threads = 1,
-                          .incremental = false};
-  SizingParams inc = full;
-  inc.incremental = true;
-  const SizingResult a = size_for_lifetime(
-      *analyzer_, aging::StandbyPolicy::all_stressed(), full);
-  const SizingResult b = size_for_lifetime(
-      *analyzer_, aging::StandbyPolicy::all_stressed(), inc);
-  EXPECT_EQ(a.sizes, b.sizes);
-  EXPECT_EQ(a.moves, b.moves);
-  EXPECT_EQ(a.aged_after, b.aged_after);
+  const SizingParams params{.spec_margin_percent = 3.0, .size_step = 0.5,
+                            .max_moves = 200, .n_threads = 1};
+  const SizingResult full = testsupport::reference_size_for_lifetime(
+      *analyzer_, aging::StandbyPolicy::all_stressed(), params);
+  const SizingResult inc = size_for_lifetime(
+      *analyzer_, aging::StandbyPolicy::all_stressed(), params);
+  EXPECT_GT(full.moves, 0);
+  EXPECT_EQ(full.sizes, inc.sizes);
+  EXPECT_EQ(full.moves, inc.moves);
+  EXPECT_EQ(full.aged_before, inc.aged_before);
+  EXPECT_EQ(full.aged_after, inc.aged_after);
 }
 
 // Two-component netlist engineered for an *exact* gain tie.  Component A
@@ -182,20 +180,26 @@ TEST(SizingTieBreakTest, IdenticalGainRatiosPickSameGateAtEveryThreadCount) {
   ASSERT_GT(trial0, trial2);
 
   // The fold breaks the tie serially in path order, so every thread count
-  // and both evaluation paths must pick gate 2, never gate 4.
+  // and the brute-force oracle must pick gate 2, never gate 4.
+  const SizingParams one_move{.spec_margin_percent = 0.5, .size_step = 0.5,
+                              .max_moves = 1};
+  std::vector<SizingResult> results = {
+      testsupport::reference_size_for_lifetime(an, policy, one_move)};
   for (int n_threads : {1, 2, 8}) {
-    for (bool incremental : {true, false}) {
-      const SizingResult r = size_for_lifetime(
-          an, policy,
-          {.spec_margin_percent = 0.5, .size_step = 0.5, .max_moves = 1,
-           .n_threads = n_threads, .incremental = incremental});
-      SCOPED_TRACE(::testing::Message() << "n_threads=" << n_threads
-                                        << " incremental=" << incremental);
-      ASSERT_EQ(r.moves, 1);
-      EXPECT_EQ(r.sizes[2], 1.5);
-      EXPECT_EQ(r.sizes[4], 1.0);
-      for (std::size_t gi = 0; gi < r.sizes.size(); ++gi) {
-        if (gi != 2) EXPECT_EQ(r.sizes[gi], 1.0) << "gate " << gi;
+    SizingParams params = one_move;
+    params.n_threads = n_threads;
+    results.push_back(size_for_lifetime(an, policy, params));
+  }
+  for (std::size_t k = 0; k < results.size(); ++k) {
+    const SizingResult& r = results[k];
+    SCOPED_TRACE(::testing::Message()
+                 << (k == 0 ? "reference" : "production") << " run " << k);
+    ASSERT_EQ(r.moves, 1);
+    EXPECT_EQ(r.sizes[2], 1.5);
+    EXPECT_EQ(r.sizes[4], 1.0);
+    for (std::size_t gi = 0; gi < r.sizes.size(); ++gi) {
+      if (gi != 2) {
+        EXPECT_EQ(r.sizes[gi], 1.0) << "gate " << gi;
       }
     }
   }
