@@ -15,7 +15,6 @@
 #include <cstdio>
 #include <fstream>
 #include <iostream>
-#include <optional>
 #include <random>
 #include <sstream>
 #include <string_view>
@@ -29,7 +28,6 @@
 #include "campaign/store.h"
 #include "common/json.h"
 #include "common/pool.h"
-#include "nbti/dvth_table.h"
 #include "query/query.h"
 #include "sta/incremental.h"
 #include "sta/slew_sta.h"
@@ -304,78 +302,6 @@ AgingCase case_dvth_eval_kernel(const netlist::Netlist& nl,
   return c;
 }
 
-struct TableCase {
-  std::string netlist;
-  double recursion_ms = 0.0;
-  double table_ms = 0.0;
-  double max_rel_error = 0.0;
-  double rel_error_bound = 0.0;
-  bool within_tolerance = false;
-};
-
-TableCase case_mc_lifetime_table(const netlist::Netlist& nl,
-                                 const tech::Library& lib) {
-  // Table-backed Monte-Carlo lifetime sampling vs per-sample recursion:
-  // ~200 MC samples x ~10 bisection steps issue 2000 dVth(t) queries at
-  // scattered times.  "recursion" answers each query with an exact model
-  // evaluation (what a per-sample crossing search without the grid does);
-  // "table" builds the interpolated table once (included in the timing) and
-  // answers every query with two loads and a lerp.  Table answers are
-  // checked against the exact sweep within 2x the documented single-curve
-  // bound (see nbti/dvth_table.h).
-  aging::AgingConditions cond;
-  cond.sp_vectors = 1024;
-  cond.n_threads = 1;
-  const aging::AgingAnalyzer an(nl, lib, cond);
-  const auto policy = aging::StandbyPolicy::all_stressed();
-  const double t_lo = 1e6, t_hi = 9.5e8;
-  constexpr int kQueries = 2000;
-  constexpr int kPpd = 16;
-  std::mt19937_64 rng(11);
-  std::uniform_real_distribution<double> u(0.0, 1.0);
-  std::vector<double> queries(kQueries);
-  for (double& t : queries) t = t_lo * std::pow(t_hi / t_lo, u(rng));
-  (void)an.gate_dvth(policy, t_hi);  // warm the descriptors for both legs
-
-  TableCase c;
-  c.netlist = nl.name();
-  double sink = 0.0;
-  c.recursion_ms = time_ms([&] {
-    for (double t : queries) sink += an.gate_dvth(policy, t).back();
-  });
-  std::optional<nbti::DvthTable> table;
-  std::vector<double> buf(nl.num_gates());
-  c.table_ms = time_ms([&] {
-    std::vector<double> grid = nbti::DvthTable::geometric_grid(t_lo, t_hi, kPpd);
-    std::vector<std::vector<double>> rows;
-    rows.reserve(grid.size());
-    for (double t : grid) rows.push_back(an.gate_dvth(policy, t));
-    table.emplace(std::move(grid), rows);
-    for (double t : queries) {
-      table->values_at(t, buf);
-      sink += buf.back();
-    }
-  });
-  benchmark::DoNotOptimize(sink);
-
-  c.rel_error_bound = 2.0 * nbti::DvthTable::rel_error_bound(table->grid_ratio());
-  bool zeros_exact = true;
-  for (int i = 0; i < kQueries; i += 100) {
-    const std::vector<double> exact = an.gate_dvth(policy, queries[i]);
-    table->values_at(queries[i], buf);
-    for (std::size_t g = 0; g < exact.size(); ++g) {
-      if (exact[g] == 0.0) {
-        zeros_exact = zeros_exact && buf[g] == 0.0;
-      } else {
-        c.max_rel_error =
-            std::max(c.max_rel_error, std::abs(buf[g] - exact[g]) / exact[g]);
-      }
-    }
-  }
-  c.within_tolerance = zeros_exact && c.max_rel_error <= c.rel_error_bound;
-  return c;
-}
-
 AgingCase case_degradation_series(const netlist::Netlist& nl,
                                   const tech::Library& lib) {
   aging::AgingConditions serial_cond, parallel_cond;
@@ -424,11 +350,9 @@ void write_bench_aging_json(const char* path) {
     cases.push_back(case_gate_dvth(*nl, lib));
     cases.push_back(case_degradation_series(*nl, lib));
   }
-  // Kernel-layout and table section: scalar-vs-SoA and recursion-vs-table
-  // legs rather than thread counts (see EXPERIMENTS.md "SoA kernel and
-  // interpolated tables").
+  // Kernel-layout section: scalar-vs-SoA legs rather than thread counts
+  // (see EXPERIMENTS.md "SoA kernel").
   const AgingCase kernel = case_dvth_eval_kernel(rand_dag, lib);
-  const TableCase table = case_mc_lifetime_table(rand_dag, lib);
 
   std::ofstream out(path);
   out << "{\n  \"schema\": \"nbtisim-bench-aging-v2\",\n"
@@ -454,15 +378,7 @@ void write_bench_aging_json(const char* path) {
       << (kernel.parallel_ms > 0.0 ? kernel.serial_ms / kernel.parallel_ms
                                    : 0.0)
       << ", \"bit_identical\": " << (kernel.identical ? "true" : "false")
-      << "},\n"
-      << "    {\"name\": \"mc_lifetime_2000q_table\", \"netlist\": \""
-      << table.netlist << "\", \"recursion_ms\": " << table.recursion_ms
-      << ", \"table_ms\": " << table.table_ms << ", \"speedup\": "
-      << (table.table_ms > 0.0 ? table.recursion_ms / table.table_ms : 0.0)
-      << ", \"max_rel_error\": " << table.max_rel_error
-      << ", \"rel_error_bound\": " << table.rel_error_bound
-      << ", \"within_tolerance\": "
-      << (table.within_tolerance ? "true" : "false") << "}\n"
+      << "}\n"
       << "  ]\n}\n";
 
   std::cout << "bench_perf_micro: wrote " << path << " ("
@@ -481,17 +397,7 @@ void write_bench_aging_json(const char* path) {
             << (kernel.parallel_ms > 0.0
                     ? kernel.serial_ms / kernel.parallel_ms
                     : 0.0)
-            << (kernel.identical ? " (bit-identical)" : " (MISMATCH!)") << "\n"
-            << "  mc_lifetime_2000q_table [" << table.netlist
-            << "]: recursion " << table.recursion_ms << " ms, table "
-            << table.table_ms << " ms, speedup "
-            << (table.table_ms > 0.0 ? table.recursion_ms / table.table_ms
-                                     : 0.0)
-            << ", max rel err " << table.max_rel_error << " (bound "
-            << table.rel_error_bound << ")"
-            << (table.within_tolerance ? " (within tolerance)"
-                                       : " (OUT OF TOLERANCE!)")
-            << "\n";
+            << (kernel.identical ? " (bit-identical)" : " (MISMATCH!)") << "\n";
 }
 
 // ---------------------------------------------------------------------------

@@ -15,9 +15,6 @@ namespace {
 // stay within this working set because they revisit each candidate rarely.
 constexpr std::size_t kMaxCachedPolicies = 16;
 
-// Bound on cached dVth(t) tables (policy x range x resolution keys).
-constexpr std::size_t kMaxCachedTables = 8;
-
 // Gates handed to one RdKernel sweep per work-pool index: large enough that
 // the packed inner loop amortizes its setup, small enough to keep the
 // parallel decomposition fine-grained.  Chunk boundaries do not affect
@@ -35,6 +32,16 @@ std::vector<double> resolve_input_sp(const netlist::Netlist& nl,
   return cond.input_sp;
 }
 
+// Rejects a non-finite horizon before the signal-statistics pass runs: a
+// NaN or infinite total_time would otherwise reach the report as a silent
+// 0% or runaway degradation.
+AgingConditions checked(AgingConditions cond) {
+  if (!std::isfinite(cond.total_time)) {
+    throw std::invalid_argument("AgingAnalyzer: non-finite total_time");
+  }
+  return cond;
+}
+
 }  // namespace
 
 StandbyPolicy StandbyPolicy::rotating(std::vector<std::vector<bool>> vectors) {
@@ -49,7 +56,7 @@ StandbyPolicy StandbyPolicy::rotating(std::vector<std::vector<bool>> vectors) {
 
 AgingAnalyzer::AgingAnalyzer(const netlist::Netlist& nl,
                              const tech::Library& lib, AgingConditions cond)
-    : nl_(&nl), lib_(&lib), cond_(std::move(cond)), sta_(nl, lib),
+    : nl_(&nl), lib_(&lib), cond_(checked(std::move(cond))), sta_(nl, lib),
       stats_(sim::estimate_signal_stats(nl, resolve_input_sp(nl, cond_),
                                         cond_.sp_vectors, cond_.seed,
                                         cond_.n_threads)),
@@ -194,43 +201,6 @@ AgingAnalyzer::stress_descriptors(const StandbyPolicy& policy) const {
 void AgingAnalyzer::invalidate_stress_cache() const {
   std::lock_guard<std::mutex> lock(cache_mutex_);
   stress_cache_.clear();
-  table_cache_.clear();
-}
-
-std::shared_ptr<const nbti::DvthTable> AgingAnalyzer::dvth_table(
-    const StandbyPolicy& policy, double t_lo, double t_hi,
-    int points_per_decade) const {
-  {
-    std::lock_guard<std::mutex> lock(cache_mutex_);
-    for (const TableEntry& e : table_cache_) {
-      if (e.t_lo == t_lo && e.t_hi == t_hi &&
-          e.points_per_decade == points_per_decade && e.policy == policy) {
-        return e.table;
-      }
-    }
-  }
-
-  const std::vector<double> times =
-      nbti::DvthTable::geometric_grid(t_lo, t_hi, points_per_decade);
-  std::vector<std::vector<double>> rows(times.size());
-  for (std::size_t k = 0; k < times.size(); ++k) {
-    rows[k] = gate_dvth(policy, times[k]);
-  }
-  auto table =
-      std::make_shared<const nbti::DvthTable>(times, rows);
-
-  std::lock_guard<std::mutex> lock(cache_mutex_);
-  for (const TableEntry& e : table_cache_) {
-    if (e.t_lo == t_lo && e.t_hi == t_hi &&
-        e.points_per_decade == points_per_decade && e.policy == policy) {
-      return e.table;  // concurrent build won the race; share its entry
-    }
-  }
-  if (table_cache_.size() >= kMaxCachedTables) {
-    table_cache_.erase(table_cache_.begin());
-  }
-  table_cache_.push_back({policy, t_lo, t_hi, points_per_decade, table});
-  return table;
 }
 
 std::vector<double> AgingAnalyzer::gate_dvth(
@@ -243,10 +213,9 @@ std::vector<double> AgingAnalyzer::gate_dvth(
   // loop; each gate writes only its own slot, so the result is identical
   // for every thread count and chunk size.  Chunks own disjoint device
   // ranges, so they can share the two device-wide work buffers —
-  // thread-local so horizon sweeps (degradation series, table builds,
-  // crossing-time scans) pay no per-call allocation.  Each calling thread
-  // owns its pair; pool workers only write the disjoint slices they are
-  // handed.
+  // thread-local so horizon sweeps (degradation series, crossing-time
+  // scans) pay no per-call allocation.  Each calling thread owns its pair;
+  // pool workers only write the disjoint slices they are handed.
   std::vector<double> dvth(nl_->num_gates(), 0.0);
   const auto n_devices = static_cast<std::size_t>(desc->kernel.num_devices());
   static thread_local std::vector<double> dev_out;

@@ -23,7 +23,6 @@
 #include <vector>
 
 #include "nbti/device_aging.h"
-#include "nbti/dvth_table.h"
 #include "nbti/rd_kernel.h"
 #include "netlist/netlist.h"
 #include "sim/simulator.h"
@@ -112,6 +111,8 @@ struct DegradationReport {
 /// NBTI degradation analyzer bound to one netlist (Fig. 6 platform).
 class AgingAnalyzer {
  public:
+  /// \throws std::invalid_argument for a non-finite cond.total_time or
+  ///         mis-sized per-gate / per-input vectors
   AgingAnalyzer(const netlist::Netlist& nl, const tech::Library& lib,
                 AgingConditions cond = {});
 
@@ -134,9 +135,9 @@ class AgingAnalyzer {
   std::vector<double> gate_dvth(const StandbyPolicy& policy,
                                 std::optional<double> total_time = {}) const;
 
-  /// Drops all cached per-policy stress descriptors and dVth tables.  Useful
-  /// to reclaim memory after sweeping many distinct policies, and to
-  /// benchmark the build phase itself (bench_perf_micro's "uncached" legs).
+  /// Drops all cached per-policy stress descriptors.  Useful to reclaim
+  /// memory after sweeping many distinct policies, and to benchmark the
+  /// build phase itself (bench_perf_micro's "uncached" legs).
   void invalidate_stress_cache() const;
 
   /// Number of stress-descriptor build phases executed so far (cache misses).
@@ -145,18 +146,6 @@ class AgingAnalyzer {
   std::uint64_t stress_build_count() const {
     return stress_builds_.load(std::memory_order_relaxed);
   }
-
-  /// Sampled per-gate worst-PMOS dVth(t) curves of \p policy on a geometric
-  /// grid from \p t_lo to \p t_hi (both exact nodes) at
-  /// \p points_per_decade resolution — the interpolation substrate for the
-  /// Monte-Carlo lifetime / failure crossing-time loops.  Built once per
-  /// (policy, range, resolution) and cached like the stress descriptors;
-  /// sampling goes through gate_dvth.  Tolerance:
-  /// DvthTable::rel_error_bound(table->grid_ratio()) per single-device
-  /// curve; see dvth_table.h.
-  std::shared_ptr<const nbti::DvthTable> dvth_table(
-      const StandbyPolicy& policy, double t_lo, double t_hi,
-      int points_per_decade) const;
 
   /// Fresh critical delay [s] (gate_delay_scale applied) — precomputed once
   /// at construction; what analyze() reports as fresh_delay.
@@ -217,16 +206,6 @@ class AgingAnalyzer {
   mutable std::mutex cache_mutex_;
   mutable std::vector<std::shared_ptr<const StressDescriptors>> stress_cache_;
   mutable std::atomic<std::uint64_t> stress_builds_{0};
-
-  /// One cached dVth(t) table per (policy, range, resolution).
-  struct TableEntry {
-    StandbyPolicy policy;
-    double t_lo = 0.0;
-    double t_hi = 0.0;
-    int points_per_decade = 0;
-    std::shared_ptr<const nbti::DvthTable> table;
-  };
-  mutable std::vector<TableEntry> table_cache_;
 };
 
 }  // namespace nbtisim::aging

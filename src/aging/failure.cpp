@@ -1,6 +1,5 @@
 #include "aging/failure.h"
 
-#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
@@ -58,37 +57,6 @@ std::vector<double> time_grid(double max_years, int n_points) {
   return t;
 }
 
-/// Per-gate output load with unit size factors — the same accumulation
-/// SizedTiming uses (fixed wire caps + sink input caps + PO load) [F].
-std::vector<double> gate_loads(const AgingAnalyzer& analyzer) {
-  const sta::StaEngine& sta = analyzer.sta();
-  const tech::Library& lib = sta.library();
-  const netlist::Netlist& nl = sta.netlist();
-  const double wire = lib.params().wire_cap_per_fanout;
-  const double po_load = lib.input_cap(lib.find("BUF"), 0) + wire;
-
-  std::vector<double> loads(nl.num_gates(), 0.0);
-  for (int gi = 0; gi < nl.num_gates(); ++gi) {
-    const netlist::NodeId out = nl.gate(gi).output;
-    double load = 0.0;
-    for (int sink : nl.fanout_gates(out)) {
-      const netlist::Gate& sg = nl.gate(sink);
-      for (std::size_t pin = 0; pin < sg.fanins.size(); ++pin) {
-        if (sg.fanins[pin] == out) {
-          load += wire +
-                  lib.input_cap(sta.gate_cell(sink), static_cast<int>(pin));
-        }
-      }
-    }
-    if (std::find(nl.outputs().begin(), nl.outputs().end(), out) !=
-        nl.outputs().end()) {
-      load += po_load;
-    }
-    loads[gi] = load;
-  }
-  return loads;
-}
-
 /// Weibull-aggregates a set of unit MTTFs: returns sum of eta^-beta over
 /// the finite entries (each unit's scale eta = mttf / gamma).
 double weibull_lambda(const std::vector<double>& mttf_years, double beta,
@@ -118,10 +86,6 @@ FailureReport analyze_failure(const AgingAnalyzer& analyzer,
   if (params.time_points < 2) {
     throw std::invalid_argument("analyze_failure: time_points < 2");
   }
-  if (params.use_dvth_table && params.table_points_per_decade < 1) {
-    throw std::invalid_argument(
-        "analyze_failure: table_points_per_decade < 1");
-  }
   if (params.multi.pbti.ratio < 0.0) {
     throw std::invalid_argument("analyze_failure: negative pbti ratio");
   }
@@ -147,22 +111,10 @@ FailureReport analyze_failure(const AgingAnalyzer& analyzer,
 
   if (params.enable_nbti) {
     // One gate_dvth call per grid point: the analyzer's cached stress
-    // descriptors make each horizon O(1) per device.  With use_dvth_table
-    // the exact sweeps collapse into one cached table build (shared with
-    // every other consumer of the analyzer) sampled at the grid times.
+    // descriptors make each horizon O(1) per device.
     std::vector<std::vector<double>> series(n_points);
-    if (params.use_dvth_table) {
-      const std::shared_ptr<const nbti::DvthTable> table =
-          analyzer.dvth_table(policy, t_sec.front(), t_sec.back(),
-                              params.table_points_per_decade);
-      for (int i = 0; i < n_points; ++i) {
-        series[i].resize(n_gates);
-        table->values_at(t_sec[i], series[i]);
-      }
-    } else {
-      for (int i = 0; i < n_points; ++i) {
-        series[i] = analyzer.gate_dvth(policy, t_sec[i]);
-      }
+    for (int i = 0; i < n_points; ++i) {
+      series[i] = analyzer.gate_dvth(policy, t_sec[i]);
     }
     MechanismMttf m;
     m.name = "nbti";
@@ -178,19 +130,12 @@ FailureReport analyze_failure(const AgingAnalyzer& analyzer,
 
   if (params.multi.enable_pbti) {
     const PbtiStressSet pbti = build_pbti_stress(analyzer, policy);
-    const nbti::DeviceAging model(cond.rd, cond.method);
     MechanismMttf m;
     m.name = "pbti";
     m.gate_mttf.assign(n_gates, kNeverFails);
-    // One context build + SoA kernel sweep per grid point.  Scaling the
-    // per-gate maximum by the (non-negative, checked above) ratio equals the
-    // max-of-scaled reduction bit for bit: rounded multiplication by a
-    // non-negative constant is monotone, and every dVth is >= 0.
-    std::vector<nbti::DeviceAging::StressContext> ctxs(pbti.devices.size());
-    for (std::size_t di = 0; di < pbti.devices.size(); ++di) {
-      ctxs[di] = model.make_context(pbti.devices[di], cond.schedule);
-    }
-    const nbti::RdKernel kernel(model, std::move(ctxs));
+    // One SoA kernel sweep per grid point; the (non-negative, checked above)
+    // ratio scales each per-gate maximum (see build_pbti_kernel).
+    const nbti::RdKernel kernel = build_pbti_kernel(analyzer, pbti);
     std::vector<std::vector<double>> worst_at(
         n_points, std::vector<double>(n_gates, 0.0));
     std::vector<double> dev_out(pbti.devices.size());
@@ -251,7 +196,6 @@ FailureReport analyze_failure(const AgingAnalyzer& analyzer,
   }
 
   if (params.enable_em) {
-    const std::vector<double> loads = gate_loads(analyzer);
     MechanismMttf m;
     m.name = "em";
     m.gate_mttf.assign(n_gates, kNeverFails);
@@ -259,7 +203,8 @@ FailureReport analyze_failure(const AgingAnalyzer& analyzer,
       // Average switching current of the output wire while active:
       // activity x f_clk charge pumps of C_load * Vdd per second.
       const double current = stats.activity[nl.gate(gi).output] *
-                             params.multi.clock_hz * loads[gi] * vdd;
+                             params.multi.clock_hz *
+                             analyzer.sta().gate_load(gi) * vdd;
       if (active_fraction <= 0.0) return;  // no charge flow: never fails
       const double intrinsic =
           nbti::em_mttf(params.em, current, cond.schedule.temp_active);

@@ -56,13 +56,6 @@ struct FailureParams {
   /// Worker threads for the per-gate loops; 0 = hardware concurrency.
   /// Bit-identical for every value.
   int n_threads = 0;
-  /// Sample the NBTI dVth(t) series from the analyzer's cached interpolated
-  /// table (AgingAnalyzer::dvth_table) instead of one exact gate_dvth sweep
-  /// per grid point.  Crossing times then interpolate an interpolant;
-  /// nbti::DvthTable::rel_error_bound at table_points_per_decade bounds the
-  /// drift, and the differential suite pins the MTTF decisions.
-  bool use_dvth_table = false;
-  int table_points_per_decade = 16;  ///< table resolution when enabled
 };
 
 /// Per-mechanism lifetime summary.

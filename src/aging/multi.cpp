@@ -1,6 +1,5 @@
 #include "aging/multi.h"
 
-#include <algorithm>
 #include <stdexcept>
 
 namespace nbtisim::aging {
@@ -97,6 +96,17 @@ PbtiStressSet build_pbti_stress(const AgingAnalyzer& analyzer,
   return set;
 }
 
+nbti::RdKernel build_pbti_kernel(const AgingAnalyzer& analyzer,
+                                 const PbtiStressSet& set) {
+  const AgingConditions& cond = analyzer.conditions();
+  const nbti::DeviceAging model(cond.rd, cond.method);
+  std::vector<nbti::DeviceAging::StressContext> ctxs(set.devices.size());
+  for (std::size_t di = 0; di < set.devices.size(); ++di) {
+    ctxs[di] = model.make_context(set.devices[di], cond.schedule);
+  }
+  return nbti::RdKernel(model, std::move(ctxs));
+}
+
 MultiAgingReport analyze_multi_mechanism(const AgingAnalyzer& analyzer,
                                          const StandbyPolicy& policy,
                                          const MultiAgingParams& params,
@@ -115,29 +125,23 @@ MultiAgingReport analyze_multi_mechanism(const AgingAnalyzer& analyzer,
   rep.pmos_dvth = analyzer.gate_dvth(policy, horizon);
   rep.nmos_dvth.assign(nl.num_gates(), 0.0);
 
-  const nbti::DeviceAging model(cond.rd, cond.method);
-  PbtiStressSet pbti;
-  if (params.enable_pbti) pbti = build_pbti_stress(analyzer, policy);
-
-  for (int gi = 0; gi < nl.num_gates(); ++gi) {
-    const netlist::Gate& g = nl.gate(gi);
-
-    double worst_pbti = 0.0;
-    if (params.enable_pbti) {
-      for (int di = pbti.gate_begin[gi]; di < pbti.gate_begin[gi + 1]; ++di) {
-        worst_pbti = std::max(
-            worst_pbti, params.pbti.ratio * model.delta_vth(pbti.devices[di],
-                                                            cond.schedule,
-                                                            horizon));
-      }
+  // Worst PBTI shift per gate: the kernel's unscaled maximum times the
+  // ratio (see build_pbti_kernel for why that is bit-identical), plus HCI.
+  if (params.enable_pbti) {
+    const PbtiStressSet pbti = build_pbti_stress(analyzer, policy);
+    const nbti::RdKernel kernel = build_pbti_kernel(analyzer, pbti);
+    std::vector<double> dev_out(pbti.devices.size());
+    std::vector<double> dev_scratch(pbti.devices.size());
+    kernel.worst_per_gate(horizon, pbti.gate_begin, 0, nl.num_gates(),
+                          rep.nmos_dvth, dev_out, dev_scratch);
+    for (double& v : rep.nmos_dvth) v *= params.pbti.ratio;
+  }
+  if (params.enable_hci) {
+    for (int gi = 0; gi < nl.num_gates(); ++gi) {
+      rep.nmos_dvth[gi] +=
+          nbti::hci_delta_vth(params.hci, stats.activity[nl.gate(gi).output],
+                              params.clock_hz, cond.schedule, horizon);
     }
-
-    double hci = 0.0;
-    if (params.enable_hci) {
-      hci = nbti::hci_delta_vth(params.hci, stats.activity[g.output],
-                                params.clock_hz, cond.schedule, horizon);
-    }
-    rep.nmos_dvth[gi] = worst_pbti + hci;
   }
 
   const sta::SlewStaEngine slew(nl, lib);

@@ -20,7 +20,7 @@ netlist::Netlist load_netlist_spec(const std::string& spec, bool cut_dffs) {
                     &seed) != 3 ||
         n_inputs < 2 || n_gates < 1 || seed < 0) {
       throw std::invalid_argument(
-          "campaign: bad generator spec \"" + spec +
+          "netlist: bad generator spec \"" + spec +
           "\" (expected dag:<inputs>x<gates>@<seed>)");
     }
     std::string name = spec;
@@ -38,7 +38,7 @@ netlist::Netlist load_netlist_spec(const std::string& spec, bool cut_dffs) {
     if (std::sscanf(spec.c_str(), is_mult ? "mult:%d" : "alu:%d", &width) !=
             1 ||
         width < 2) {
-      throw std::invalid_argument("campaign: bad generator spec \"" + spec +
+      throw std::invalid_argument("netlist: bad generator spec \"" + spec +
                                   "\" (expected " +
                                   (is_mult ? "mult:<bits>" : "alu:<width>") +
                                   " with size >= 2)");
@@ -53,7 +53,7 @@ netlist::Netlist load_netlist_spec(const std::string& spec, bool cut_dffs) {
   if (spec.ends_with(".v")) return netlist::load_verilog(spec);
   if (spec.find('/') != std::string::npos || spec.ends_with(".bench")) {
     std::ifstream probe(spec);
-    if (!probe) throw std::runtime_error("campaign: cannot open " + spec);
+    if (!probe) throw std::runtime_error("netlist: cannot open " + spec);
     std::ostringstream ss;
     ss << probe.rdbuf();
     std::string name = spec;

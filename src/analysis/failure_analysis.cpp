@@ -34,10 +34,7 @@ class FailureAnalysis final : public Analysis {
       if (i > 0) fp += ":";
       fp += fmt_g(p.fail_curve_years[i]);
     }
-    fp += "]";
-    // Appended only when enabled so pre-table store rows keep their hashes.
-    if (p.use_dvth_table) fp += ",table" + std::to_string(p.table_ppd);
-    return fp;
+    return fp + "]";
   }
 
   Metrics run(EvalContext& ctx, const Params& p) const override {
@@ -50,8 +47,6 @@ class FailureAnalysis final : public Analysis {
     fp.weibull_beta = p.weibull_beta;
     fp.curve_years = p.fail_curve_years;
     fp.n_threads = 0;  // shared pool; serial when inside a pool task
-    fp.use_dvth_table = p.use_dvth_table;
-    fp.table_points_per_decade = p.table_ppd;
     const aging::FailureReport r = aging::analyze_failure(
         ctx.aging(), aging::StandbyPolicy::all_stressed(), fp);
 

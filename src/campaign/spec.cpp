@@ -1,12 +1,31 @@
 #include "campaign/spec.h"
 
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
+#include <initializer_list>
 #include <stdexcept>
+#include <string_view>
 
 namespace nbtisim::campaign {
 namespace {
 
+/// Throws naming the first member of \p doc outside \p known: a typo or a
+/// retired option must fail loudly instead of running with the default.
+void reject_unknown_keys(const common::json::Value& doc,
+                         std::initializer_list<std::string_view> known,
+                         const std::string& where) {
+  for (const auto& member : doc.as_object()) {
+    if (std::find(known.begin(), known.end(), member.first) == known.end()) {
+      throw std::invalid_argument("campaign: unknown " + where + " key \"" +
+                                  member.first + "\"");
+    }
+  }
+}
+
 Condition condition_from_json(const common::json::Value& doc) {
+  reject_unknown_keys(doc, {"ras", "t_active", "t_standby", "years"},
+                      "condition");
   Condition c;
   if (const common::json::Value* ras = doc.find("ras")) {
     const std::string& v = ras->as_string();
@@ -16,20 +35,35 @@ Condition condition_from_json(const common::json::Value& doc) {
     }
     c.ras_active = std::strtod(v.substr(0, colon).c_str(), nullptr);
     c.ras_standby = std::strtod(v.substr(colon + 1).c_str(), nullptr);
-    if (c.ras_active <= 0.0 || c.ras_standby < 0.0) {
+    if (!std::isfinite(c.ras_active) || !std::isfinite(c.ras_standby) ||
+        c.ras_active <= 0.0 || c.ras_standby < 0.0) {
       throw std::invalid_argument("campaign: bad \"ras\" value " + v);
     }
   }
   c.t_active = doc.number_or("t_active", c.t_active);
   c.t_standby = doc.number_or("t_standby", c.t_standby);
   c.years = doc.number_or("years", c.years);
-  if (c.t_active <= 0.0 || c.t_standby <= 0.0 || c.years <= 0.0) {
-    throw std::invalid_argument("campaign: condition values must be positive");
+  for (double v : {c.t_active, c.t_standby, c.years}) {
+    if (!std::isfinite(v) || v <= 0.0) {
+      throw std::invalid_argument(
+          "campaign: condition values must be positive and finite");
+    }
   }
   return c;
 }
 
 void params_from_json(const common::json::Value& doc, CampaignParams& p) {
+  reject_unknown_keys(
+      doc,
+      {"sp_vectors", "seed", "samples", "spec_margin", "population",
+       "max_rounds", "st_sigma", "sizing_margin", "sizing_step",
+       "sizing_max_size", "sizing_max_moves", "sizing_slack_window",
+       "sizing_moves_per_round", "derate_years", "pareto_samples",
+       "pareto_rounds", "pareto_flips", "crit_samples", "crit_sigma",
+       "clock_ghz", "pbti_ratio", "thermal_power", "thermal_replication",
+       "thermal_runaway_k", "fail_dvth", "fail_max_years", "fail_points",
+       "weibull_beta", "fail_curve_years"},
+      "params");
   p.sp_vectors = doc.int_or("sp_vectors", p.sp_vectors);
   p.seed = static_cast<std::uint64_t>(
       doc.number_or("seed", static_cast<double>(p.seed)));
@@ -73,8 +107,6 @@ void params_from_json(const common::json::Value& doc, CampaignParams& p) {
       p.fail_curve_years.push_back(y.as_number());
     }
   }
-  p.use_dvth_table = doc.bool_or("use_dvth_table", p.use_dvth_table);
-  p.table_ppd = doc.int_or("table_ppd", p.table_ppd);
 
   if (p.sp_vectors < 64 || p.samples < 2 || p.spec_margin <= 0.0 ||
       p.population < 2 || p.max_rounds < 1 || p.st_sigma <= 0.0 ||
@@ -117,9 +149,6 @@ void params_from_json(const common::json::Value& doc, CampaignParams& p) {
     if (y <= 0.0) {
       throw std::invalid_argument("campaign: \"fail_curve_years\" must be > 0");
     }
-  }
-  if (p.table_ppd < 1) {
-    throw std::invalid_argument("campaign: \"table_ppd\" must be >= 1");
   }
 }
 

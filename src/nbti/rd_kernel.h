@@ -4,17 +4,17 @@
 ///        DeviceAging::delta_vth calls.
 ///
 /// This is the one production ΔVth evaluator for whole circuits:
-/// AgingAnalyzer::gate_dvth (and everything built on it) and the failure
-/// suite's PBTI sweep both go through it; there is no scalar fallback to
-/// select.  The per-device loop is the test oracle
-/// testsupport::reference_gate_dvth.
+/// AgingAnalyzer::gate_dvth (and everything built on it) and the PBTI
+/// sweeps of the failure and multi-mechanism suites all go through it;
+/// there is no scalar fallback to select.  The per-device loop is the test
+/// oracle testsupport::reference_gate_dvth.
 ///
 /// DeviceAging::delta_vth(ctx, t) walks one StressContext at a time: an
 /// out-of-line call per device, scattered ~100-byte AoS loads, and a long
 /// dependent chain of two divisions and two square roots per evaluation.
 /// Sweeps that evaluate every device of a circuit per horizon (degradation
-/// series, crossing-time scans, table builds) pay that per-call overhead tens
-/// of thousands of times.
+/// series, crossing-time scans) pay that per-call overhead tens of thousands
+/// of times.
 ///
 /// RdKernel packs the horizon-independent context fields into contiguous
 /// per-field arrays and evaluates the telescoped closed-form tail

@@ -1,5 +1,6 @@
 #include "nbti/schedule.h"
 
+#include <cmath>
 #include <stdexcept>
 
 namespace nbtisim::nbti {
@@ -7,12 +8,20 @@ namespace nbtisim::nbti {
 ModeSchedule ModeSchedule::from_ras(double active_parts, double standby_parts,
                                     double period_s, double temp_active_k,
                                     double temp_standby_k) {
-  if (active_parts < 0.0 || standby_parts < 0.0 ||
+  if (!std::isfinite(active_parts) || !std::isfinite(standby_parts) ||
+      active_parts < 0.0 || standby_parts < 0.0 ||
       active_parts + standby_parts <= 0.0) {
     throw std::invalid_argument("ModeSchedule::from_ras: bad ratio");
   }
-  if (period_s <= 0.0) {
+  if (!std::isfinite(period_s) || period_s <= 0.0) {
     throw std::invalid_argument("ModeSchedule::from_ras: non-positive period");
+  }
+  // A NaN or infinite temperature would flow silently through the Arrhenius
+  // terms into a 0% or runaway degradation report.
+  if (!std::isfinite(temp_active_k) || !std::isfinite(temp_standby_k) ||
+      temp_active_k <= 0.0 || temp_standby_k <= 0.0) {
+    throw std::invalid_argument(
+        "ModeSchedule::from_ras: non-finite or non-positive temperature");
   }
   const double total = active_parts + standby_parts;
   return ModeSchedule{period_s * active_parts / total,

@@ -36,6 +36,9 @@ struct ModeSchedule {
 
   /// Builds a schedule from the paper's RAS notation "a:s" (e.g. 1:9).
   /// \param period_s total mode period [s]
+  /// \throws std::invalid_argument for non-finite or negative parts (or
+  ///         both zero), a non-finite or non-positive period, or a
+  ///         non-finite or non-positive temperature
   static ModeSchedule from_ras(double active_parts, double standby_parts,
                                double period_s, double temp_active_k,
                                double temp_standby_k);

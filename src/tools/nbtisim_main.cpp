@@ -32,11 +32,13 @@
 ///
 ///   nbtisim generate <spec> [--out PATH] [--format bench|v]
 ///
-/// where <spec> is any netlist spec the campaign grid accepts: a built-in
-/// name, "dag:<inputs>x<gates>@<seed>", "mult:<bits>" or "alu:<width>".
+/// where <spec> is a <circuit> as below.
 ///
-/// <circuit>: a built-in name (c432, c880, ...), a path to a .bench file
-/// (add --cut-dffs for sequential netlists), or a structural .v file.
+/// <circuit>: any netlist spec the campaign grid accepts
+/// (analysis::load_netlist_spec) — a built-in name (c432, c880, ...), a
+/// path to a .bench file (add --cut-dffs for sequential netlists), a
+/// structural .v file, or a generator spec "dag:<inputs>x<gates>@<seed>",
+/// "mult:<bits>" or "alu:<width>".
 ///
 /// Common options:
 ///   --ras A:S          active:standby ratio        (default 1:9)
@@ -65,7 +67,6 @@
 #include "query/serve.h"
 #include "netlist/bench_io.h"
 #include "netlist/verilog_io.h"
-#include "netlist/generators.h"
 #include "aging/failure.h"
 #include "aging/multi.h"
 #include "opt/mlv.h"
@@ -103,8 +104,6 @@ struct CliOptions {
   double replication = 1e5;
   double runaway_k = 1000.0;
   double fail_dvth = 0.05;
-  bool use_dvth_table = false;
-  int table_ppd = 16;
   int n_threads = 0;
   std::string csv_path;
   bool cut_dffs = false;
@@ -137,8 +136,9 @@ struct CliOptions {
                "campaign analyses: %s\n", analyses.c_str());
   std::fprintf(stderr,
                "  <circuit>: built-in (c432, c499, c880, c1355, c1908, c2670,\n"
-               "             c3540, c5315, c6288, c7552), a .bench path, or a\n"
-               "             structural .v path\n"
+               "             c3540, c5315, c6288, c7552), a .bench path, a\n"
+               "             structural .v path, or dag:<inputs>x<gates>@<seed>,\n"
+               "             mult:<bits>, alu:<width>\n"
                "  --ras A:S  --t-active K  --t-standby K  --years Y\n"
                "  --sigma F (st)  --samples N (mc/lifetime)\n"
                "  --margin P (lifetime/sizing)  --power W (thermal)\n"
@@ -147,8 +147,6 @@ struct CliOptions {
                "  --clock GHZ  --pbti-ratio R (multi/failure)\n"
                "  --replication N  --runaway-k K (thermal)\n"
                "  --fail-dvth V (failure; --years sets its crossing window)\n"
-               "  --dvth-table  --table-ppd N (lifetime/failure: sample the\n"
-               "              dVth(t) grid from a cached interpolated table)\n"
                "  --threads N (0 = hardware; results are bit-identical for\n"
                "              every N)  --csv PATH  --cut-dffs\n");
   std::exit(2);
@@ -217,11 +215,6 @@ CliOptions parse_args(int argc, char** argv) {
     } else if (arg == "--fail-dvth") {
       o.fail_dvth = std::atof(value().c_str());
       if (o.fail_dvth <= 0.0) usage("bad --fail-dvth");
-    } else if (arg == "--dvth-table") {
-      o.use_dvth_table = true;
-    } else if (arg == "--table-ppd") {
-      o.table_ppd = std::atoi(value().c_str());
-      if (o.table_ppd < 1) usage("bad --table-ppd");
     } else if (arg == "--threads") {
       o.n_threads = std::atoi(value().c_str());
       if (o.n_threads < 0) usage("bad --threads");
@@ -234,23 +227,6 @@ CliOptions parse_args(int argc, char** argv) {
     }
   }
   return o;
-}
-
-netlist::Netlist load_circuit(const CliOptions& o) {
-  if (o.circuit.ends_with(".v")) return netlist::load_verilog(o.circuit);
-  const bool is_path = o.circuit.find('/') != std::string::npos ||
-                       o.circuit.ends_with(".bench");
-  if (is_path) {
-    std::ifstream probe(o.circuit);
-    if (!probe) throw std::runtime_error("cannot open " + o.circuit);
-    std::ostringstream ss;
-    ss << probe.rdbuf();
-    std::string name = o.circuit;
-    const std::size_t slash = name.find_last_of('/');
-    if (slash != std::string::npos) name.erase(0, slash + 1);
-    return netlist::parse_bench(ss.str(), name, {.cut_dffs = o.cut_dffs});
-  }
-  return netlist::iscas85_like(o.circuit);
 }
 
 aging::AgingConditions conditions(const CliOptions& o) {
@@ -271,7 +247,8 @@ void emit(const CliOptions& o, const report::Table& table) {
 }
 
 int cmd_info(const CliOptions& o) {
-  const netlist::Netlist nl = load_circuit(o);
+  const netlist::Netlist nl =
+      analysis::load_netlist_spec(o.circuit, o.cut_dffs);
   const tech::Library lib;
   const sta::StaEngine sta(nl, lib);
   const leakage::LeakageAnalyzer leak(nl, lib, o.t_standby);
@@ -295,7 +272,8 @@ int cmd_info(const CliOptions& o) {
 }
 
 int cmd_aging(const CliOptions& o) {
-  const netlist::Netlist nl = load_circuit(o);
+  const netlist::Netlist nl =
+      analysis::load_netlist_spec(o.circuit, o.cut_dffs);
   const tech::Library lib;
   const aging::AgingAnalyzer an(nl, lib, conditions(o));
 
@@ -319,7 +297,8 @@ int cmd_aging(const CliOptions& o) {
 }
 
 int cmd_ivc(const CliOptions& o) {
-  const netlist::Netlist nl = load_circuit(o);
+  const netlist::Netlist nl =
+      analysis::load_netlist_spec(o.circuit, o.cut_dffs);
   const tech::Library lib;
   const aging::AgingAnalyzer an(nl, lib, conditions(o));
   const leakage::LeakageAnalyzer leak(nl, lib, o.t_standby);
@@ -352,7 +331,8 @@ int cmd_ivc(const CliOptions& o) {
 }
 
 int cmd_st(const CliOptions& o) {
-  const netlist::Netlist nl = load_circuit(o);
+  const netlist::Netlist nl =
+      analysis::load_netlist_spec(o.circuit, o.cut_dffs);
   const tech::Library lib;
   const aging::AgingAnalyzer an(nl, lib, conditions(o));
   opt::StParams st;
@@ -383,7 +363,8 @@ int cmd_st(const CliOptions& o) {
 }
 
 int cmd_mc(const CliOptions& o) {
-  const netlist::Netlist nl = load_circuit(o);
+  const netlist::Netlist nl =
+      analysis::load_netlist_spec(o.circuit, o.cut_dffs);
   const tech::Library lib;
   const aging::AgingAnalyzer an(nl, lib, conditions(o));
   const variation::MonteCarloAging mc(
@@ -438,7 +419,8 @@ aging::StandbyPolicy standby_policy(const CliOptions& o,
 }
 
 int cmd_multi(const CliOptions& o) {
-  const netlist::Netlist nl = load_circuit(o);
+  const netlist::Netlist nl =
+      analysis::load_netlist_spec(o.circuit, o.cut_dffs);
   const tech::Library lib;
   const aging::AgingAnalyzer an(nl, lib, conditions(o));
   aging::MultiAgingParams mp;
@@ -466,7 +448,8 @@ int cmd_multi(const CliOptions& o) {
 }
 
 int cmd_dualvth(const CliOptions& o) {
-  const netlist::Netlist nl = load_circuit(o);
+  const netlist::Netlist nl =
+      analysis::load_netlist_spec(o.circuit, o.cut_dffs);
   const tech::Library lib;
   const opt::DualVthResult r = opt::assign_dual_vth(
       nl, lib, conditions(o), {.delay_budget_percent = 2.0,
@@ -491,7 +474,8 @@ int cmd_dualvth(const CliOptions& o) {
 }
 
 int cmd_sizing(const CliOptions& o) {
-  const netlist::Netlist nl = load_circuit(o);
+  const netlist::Netlist nl =
+      analysis::load_netlist_spec(o.circuit, o.cut_dffs);
   const tech::Library lib;
   const aging::AgingAnalyzer an(nl, lib, conditions(o));
   const opt::SizingResult r = opt::size_for_lifetime(
@@ -515,7 +499,8 @@ int cmd_sizing(const CliOptions& o) {
 }
 
 int cmd_inc(const CliOptions& o) {
-  const netlist::Netlist nl = load_circuit(o);
+  const netlist::Netlist nl =
+      analysis::load_netlist_spec(o.circuit, o.cut_dffs);
   const tech::Library lib;
   const opt::IncInsertionResult r = opt::insert_control_points(
       nl, lib, conditions(o), {.max_control_points = 30});
@@ -533,14 +518,14 @@ int cmd_inc(const CliOptions& o) {
 }
 
 int cmd_lifetime(const CliOptions& o) {
-  const netlist::Netlist nl = load_circuit(o);
+  const netlist::Netlist nl =
+      analysis::load_netlist_spec(o.circuit, o.cut_dffs);
   const tech::Library lib;
   const aging::AgingAnalyzer an(nl, lib, conditions(o));
   const variation::LifetimeResult r = variation::lifetime_distribution(
       an, aging::StandbyPolicy::all_stressed(),
       {.spec_margin_percent = o.spec_margin, .samples = o.mc_samples,
-       .n_threads = o.n_threads, .use_dvth_table = o.use_dvth_table,
-       .table_points_per_decade = o.table_ppd});
+       .n_threads = o.n_threads});
   report::Table t{{"quantity", "value"}, {}};
   char buf[96];
   std::snprintf(buf, sizeof buf, "%.2f years",
@@ -559,7 +544,8 @@ int cmd_lifetime(const CliOptions& o) {
 }
 
 int cmd_derate(const CliOptions& o) {
-  const netlist::Netlist nl = load_circuit(o);
+  const netlist::Netlist nl =
+      analysis::load_netlist_spec(o.circuit, o.cut_dffs);
   const tech::Library lib;
   const aging::AgingAnalyzer an(nl, lib, conditions(o));
   const report::DerateTable t = report::aging_derate_table(
@@ -572,7 +558,8 @@ int cmd_thermal(const CliOptions& o) {
   if (o.standby_mode == "stressed" || o.standby_mode == "relaxed") {
     usage("thermal needs a concrete standby vector: zeros|ones|mlv");
   }
-  const netlist::Netlist nl = load_circuit(o);
+  const netlist::Netlist nl =
+      analysis::load_netlist_spec(o.circuit, o.cut_dffs);
   const tech::Library lib;
   const thermal::RcThermalModel model;
   const thermal::OperatingPoint op = thermal::solve_operating_point(
@@ -595,7 +582,8 @@ int cmd_thermal(const CliOptions& o) {
 }
 
 int cmd_failure(const CliOptions& o) {
-  const netlist::Netlist nl = load_circuit(o);
+  const netlist::Netlist nl =
+      analysis::load_netlist_spec(o.circuit, o.cut_dffs);
   const tech::Library lib;
   const aging::AgingAnalyzer an(nl, lib, conditions(o));
   aging::FailureParams fp;
@@ -604,8 +592,6 @@ int cmd_failure(const CliOptions& o) {
   fp.fail_dvth = o.fail_dvth;
   if (o.years_set) fp.max_years = o.years;
   fp.n_threads = o.n_threads;
-  fp.use_dvth_table = o.use_dvth_table;
-  fp.table_points_per_decade = o.table_ppd;
   const aging::FailureReport rep =
       aging::analyze_failure(an, standby_policy(o, nl, lib), fp);
 

@@ -36,18 +36,8 @@ CriticalityResult gate_criticality(const aging::AgingAnalyzer& analyzer,
       sta.gate_delays(analyzer.conditions().sta_temperature);
   std::vector<double> dvth_nominal;
   if (params.aged) {
-    if (params.use_dvth_table && params.total_time > 0.0) {
-      // Back-node hit: bitwise the gate_dvth values, but shares the
-      // analyzer's cached table with the other MC consumers.
-      const std::shared_ptr<const nbti::DvthTable> table = analyzer.dvth_table(
-          aging::StandbyPolicy::all_stressed(), params.total_time / 1.0e3,
-          params.total_time, params.table_points_per_decade);
-      dvth_nominal.resize(nl.num_gates());
-      table->values_at(params.total_time, dvth_nominal);
-    } else {
-      dvth_nominal = analyzer.gate_dvth(aging::StandbyPolicy::all_stressed(),
-                                        params.total_time);
-    }
+    dvth_nominal = analyzer.gate_dvth(aging::StandbyPolicy::all_stressed(),
+                                      params.total_time);
   }
   const double sens = lp.pmos.alpha / (lp.vdd - lp.pmos.vth0);
   const double ff_nominal = nbti::field_factor(rd, lp.vdd, lp.pmos.vth0);

@@ -29,11 +29,6 @@ struct CriticalityParams {
   /// reduced in sample order, so the result is bit-identical for every
   /// value (same contract as AgingConditions::n_threads).
   int n_threads = 0;
-  /// Fetch the aged nominal dVth through the analyzer's cached dVth(t)
-  /// table (exact back-node hit — bitwise the gate_dvth values; see
-  /// VariationParams::use_dvth_table).
-  bool use_dvth_table = false;
-  int table_points_per_decade = 16;  ///< table resolution when enabled
 };
 
 /// Per-gate criticality result.

@@ -35,8 +35,7 @@ LifetimeResult lifetime_distribution(const aging::AgingAnalyzer& analyzer,
                                      const LifetimeParams& params) {
   if (params.spec_margin_percent <= 0.0 || params.samples < 2 ||
       params.sigma_vth < 0.0 || params.max_time <= 0.0 ||
-      params.time_grid_points < 4 ||
-      (params.use_dvth_table && params.table_points_per_decade < 1)) {
+      params.time_grid_points < 4) {
     throw std::invalid_argument("lifetime_distribution: bad parameters");
   }
   const sta::StaEngine& sta = analyzer.sta();
@@ -58,22 +57,9 @@ LifetimeResult lifetime_distribution(const aging::AgingAnalyzer& analyzer,
   std::vector<std::vector<double>> grid_dvth(n_grid);
   const double t_min = params.max_time / std::pow(2.0, n_grid - 1.0) * 2.0;
   const double log_step = std::log(params.max_time / t_min) / (n_grid - 1);
-  if (params.use_dvth_table) {
-    // Interpolated substrate: one cached table build covers every grid
-    // point (and every later call sharing the analyzer), replacing n_grid
-    // exact device-model sweeps with monotone linear interpolation.
-    const std::shared_ptr<const nbti::DvthTable> table = analyzer.dvth_table(
-        policy, t_min, params.max_time, params.table_points_per_decade);
-    for (int k = 0; k < n_grid; ++k) {
-      grid_time[k] = t_min * std::exp(log_step * k);
-      grid_dvth[k].resize(nl.num_gates());
-      table->values_at(grid_time[k], grid_dvth[k]);
-    }
-  } else {
-    for (int k = 0; k < n_grid; ++k) {
-      grid_time[k] = t_min * std::exp(log_step * k);
-      grid_dvth[k] = analyzer.gate_dvth(policy, grid_time[k]);
-    }
+  for (int k = 0; k < n_grid; ++k) {
+    grid_time[k] = t_min * std::exp(log_step * k);
+    grid_dvth[k] = analyzer.gate_dvth(policy, grid_time[k]);
   }
 
   LifetimeResult result;

@@ -30,13 +30,6 @@ struct LifetimeParams {
   /// Per-sample SplitMix64 streams make the result bit-identical for every
   /// value (same contract as AgingConditions::n_threads).
   int n_threads = 0;
-  /// Sample the nominal dVth(t) grid from the analyzer's cached interpolated
-  /// table (AgingAnalyzer::dvth_table) instead of one exact gate_dvth
-  /// evaluation per grid point.  Interpolation error is bounded by
-  /// nbti::DvthTable::rel_error_bound at table_points_per_decade; the
-  /// differential suite pins the resulting lifetime drift.
-  bool use_dvth_table = false;
-  int table_points_per_decade = 16;  ///< table resolution when enabled
 };
 
 /// Per-sample failure times and summary statistics.

@@ -84,18 +84,8 @@ DelayDistribution MonteCarloAging::aged_distribution(
   const nbti::RdParams& rd = analyzer_->conditions().rd;
   const std::vector<double> fresh =
       sta.gate_delays(analyzer_->conditions().sta_temperature);
-  std::vector<double> dvth_nominal;
-  if (params_.use_dvth_table && total_time > 0.0) {
-    // The horizon is the table's back node, an exact grid sample, so these
-    // are bitwise the gate_dvth values (see VariationParams).
-    const std::shared_ptr<const nbti::DvthTable> table =
-        analyzer_->dvth_table(policy, total_time / 1.0e3, total_time,
-                              params_.table_points_per_decade);
-    dvth_nominal.resize(sta.netlist().num_gates());
-    table->values_at(total_time, dvth_nominal);
-  } else {
-    dvth_nominal = analyzer_->gate_dvth(policy, total_time);
-  }
+  const std::vector<double> dvth_nominal =
+      analyzer_->gate_dvth(policy, total_time);
   const double sens = lp.pmos.alpha / (lp.vdd - lp.pmos.vth0);
   const double ff_nominal = nbti::field_factor(rd, lp.vdd, lp.pmos.vth0);
 

@@ -29,13 +29,6 @@ struct VariationParams {
   /// so results are bit-identical for every value — purely a speed knob
   /// (same contract as AgingConditions::n_threads).
   int n_threads = 0;
-  /// Fetch the nominal dVth through the analyzer's cached dVth(t) table.
-  /// The horizon is the table's back node — an exact grid point — so the
-  /// values are bitwise the gate_dvth result; the point is sharing one
-  /// cached table (and its stress-descriptor reuse) with the lifetime /
-  /// failure consumers of the same analyzer.
-  bool use_dvth_table = false;
-  int table_points_per_decade = 16;  ///< table resolution when enabled
 };
 
 /// Summary statistics of a sampled delay distribution.

@@ -320,55 +320,6 @@ TEST(AnalysisCampaignTest, BitIdenticalShardedStoresForNewAnalyses) {
   EXPECT_NE(std::find(h.begin(), h.end(), "multi_pct"), h.end());
 }
 
-TEST(AnalysisCampaignTest, BitIdenticalShardedStoresWithDvthTable) {
-  // The table-backed evaluation paths (lifetime / failure / criticality with
-  // use_dvth_table), sharded, at n_threads 1 vs 4: every shard file must
-  // agree byte for byte — the interpolated-table subsystem keeps the
-  // campaign determinism contract.
-  const char* text = R"({
-    "name": "table3",
-    "netlists": ["dag:8x40@3"],
-    "conditions": [
-      {"ras": "1:9", "t_active": 400, "t_standby": 330, "years": 10},
-      {"ras": "5:5", "t_active": 390, "t_standby": 340, "years": 10}
-    ],
-    "analyses": ["criticality", "failure", "lifetime"],
-    "params": {"sp_vectors": 256, "samples": 24, "crit_samples": 60,
-               "fail_points": 10, "fail_curve_years": [5, 20],
-               "use_dvth_table": true, "table_ppd": 12},
-    "n_threads": 1,
-    "shards": 4
-  })";
-  campaign::CampaignSpec spec =
-      campaign::spec_from_json(common::json::parse(text));
-  const std::string p1 = temp_path("table3_t1.jsonl");
-  ASSERT_EQ(campaign::run_campaign(spec, p1).executed, 6);
-  spec.n_threads = 4;
-  const std::string p4 = temp_path("table3_t4.jsonl");
-  ASSERT_EQ(campaign::run_campaign(spec, p4).executed, 6);
-
-  int shards_with_rows = 0;
-  for (int shard = 0; shard < 4; ++shard) {
-    const std::string s1 = campaign::ShardedStore::shard_path(p1, shard);
-    const std::string s4 = campaign::ShardedStore::shard_path(p4, shard);
-    std::ifstream f1(s1), f4(s4);
-    ASSERT_EQ(static_cast<bool>(f1), static_cast<bool>(f4)) << s1;
-    if (!f1) continue;
-    EXPECT_EQ(read_file(s1), read_file(s4)) << s1;
-    ++shards_with_rows;
-  }
-  EXPECT_GT(shards_with_rows, 0);
-
-  // The table knob participates in the task hash only when enabled, so
-  // pre-table store rows keep their fingerprints.
-  const Analysis& lt = AnalysisRegistry::global().at("lifetime");
-  EXPECT_NE(lt.fingerprint(spec.params).find(",table12"), std::string::npos);
-  Params off = spec.params;
-  off.use_dvth_table = false;
-  EXPECT_EQ(off.table_ppd, 12);
-  EXPECT_EQ(lt.fingerprint(off).find(",table"), std::string::npos);
-}
-
 TEST(AnalysisCampaignTest, StaleRowsAreCountedNotSilentlyDropped) {
   const char* text = R"({
     "name": "stale",

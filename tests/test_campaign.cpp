@@ -109,6 +109,44 @@ TEST(CampaignSpecTest, RejectsBadSpecs) {
       std::invalid_argument);  // out-of-range param
 }
 
+TEST(CampaignSpecTest, RejectsUnknownKeysByName) {
+  using common::json::parse;
+  // A typo, or an option the engine no longer has, must not silently run
+  // with the default value.
+  auto message = [](const char* text) -> std::string {
+    try {
+      spec_from_json(parse(text));
+    } catch (const std::invalid_argument& e) {
+      return e.what();
+    }
+    return "no exception";
+  };
+  EXPECT_NE(message(R"({"netlists": ["c432"], "analyses": ["aging"],
+                        "params": {"sp_vector": 256}})")
+                .find("\"sp_vector\""),
+            std::string::npos);
+  EXPECT_NE(message(R"({"netlists": ["c432"], "analyses": ["lifetime"],
+                        "params": {"samples": 20, "spec_margn": 4}})")
+                .find("\"spec_margn\""),
+            std::string::npos);
+  EXPECT_NE(message(R"({"netlists": ["c432"], "analyses": ["aging"],
+                        "conditions": [{"ras": "1:9", "t_stanby": 400}]})")
+                .find("\"t_stanby\""),
+            std::string::npos);
+}
+
+TEST(CampaignSpecTest, RejectsNonFiniteConditionValues) {
+  using common::json::parse;
+  for (const char* cond : {R"({"t_standby": NaN})", R"({"t_active": Infinity})",
+                           R"({"years": NaN})", R"({"ras": "nan:9"})"}) {
+    const std::string text =
+        std::string(R"({"netlists": ["c432"], "analyses": ["aging"],
+                        "conditions": [)") +
+        cond + "]}";
+    EXPECT_THROW(spec_from_json(parse(text)), std::invalid_argument) << cond;
+  }
+}
+
 TEST(CampaignSpecTest, ExpandBuildsTheFullGridWithStableHashes) {
   const CampaignSpec spec = tiny_spec();
   const std::vector<Task> grid = expand(spec);

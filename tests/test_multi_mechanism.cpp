@@ -230,24 +230,37 @@ TEST_F(MultiMechanismTest, RejectsNegativePbtiRatio) {
 
 TEST_F(MultiMechanismTest, PbtiStressSetMatchesReportShift) {
   // The exported stress set, evaluated through DeviceAging directly, must
-  // reproduce the PBTI-only NMOS shifts of analyze_multi_mechanism.
-  const aging::StandbyPolicy policy = aging::StandbyPolicy::all_relaxed();
+  // reproduce the PBTI-only NMOS shifts of analyze_multi_mechanism bit for
+  // bit under every standby policy kind the kernel path sees.
+  std::vector<bool> alternating(c432_.num_inputs());
+  for (std::size_t i = 0; i < alternating.size(); ++i) {
+    alternating[i] = i % 2 == 0;
+  }
   const aging::MultiAgingParams params{.enable_pbti = true,
                                        .enable_hci = false};
-  const aging::MultiAgingReport rep =
-      aging::analyze_multi_mechanism(*analyzer_, policy, params);
-  const aging::PbtiStressSet set = aging::build_pbti_stress(*analyzer_, policy);
-  ASSERT_EQ(set.gate_begin.size(), c432_.num_gates() + 1);
   const nbti::DeviceAging model(analyzer_->conditions().rd);
   const double horizon = analyzer_->conditions().total_time;
-  for (std::size_t g = 0; g < c432_.num_gates(); ++g) {
-    double worst = 0.0;
-    for (std::size_t d = set.gate_begin[g]; d < set.gate_begin[g + 1]; ++d) {
-      worst = std::max(
-          worst, params.pbti.ratio * model.delta_vth(set.devices[d],
-                                                     cond_.schedule, horizon));
+  for (const aging::StandbyPolicy& policy :
+       {aging::StandbyPolicy::from_vector(alternating),
+        aging::StandbyPolicy::all_stressed(),
+        aging::StandbyPolicy::all_relaxed()}) {
+    SCOPED_TRACE(::testing::Message()
+                 << "policy kind " << static_cast<int>(policy.kind));
+    const aging::MultiAgingReport rep =
+        aging::analyze_multi_mechanism(*analyzer_, policy, params);
+    const aging::PbtiStressSet set =
+        aging::build_pbti_stress(*analyzer_, policy);
+    ASSERT_EQ(set.gate_begin.size(), c432_.num_gates() + 1);
+    for (std::size_t g = 0; g < c432_.num_gates(); ++g) {
+      double worst = 0.0;
+      for (std::size_t d = set.gate_begin[g]; d < set.gate_begin[g + 1];
+           ++d) {
+        worst = std::max(worst, params.pbti.ratio *
+                                    model.delta_vth(set.devices[d],
+                                                    cond_.schedule, horizon));
+      }
+      EXPECT_EQ(rep.nmos_dvth[g], worst) << "gate " << g;
     }
-    EXPECT_DOUBLE_EQ(rep.nmos_dvth[g], worst);
   }
 }
 

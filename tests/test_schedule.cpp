@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 namespace nbtisim::nbti {
 namespace {
 
@@ -29,6 +31,25 @@ TEST_F(ScheduleTest, FromRasRejectsBadRatios) {
   EXPECT_THROW(ModeSchedule::from_ras(-1, 9, 1000.0, 400.0, 330.0),
                std::invalid_argument);
   EXPECT_THROW(ModeSchedule::from_ras(1, 9, 0.0, 400.0, 330.0),
+               std::invalid_argument);
+}
+
+TEST_F(ScheduleTest, FromRasRejectsNonFiniteInputs) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(ModeSchedule::from_ras(1, 9, 1000.0, 400.0, nan),
+               std::invalid_argument);
+  EXPECT_THROW(ModeSchedule::from_ras(1, 9, 1000.0, inf, 330.0),
+               std::invalid_argument);
+  EXPECT_THROW(ModeSchedule::from_ras(1, 9, 1000.0, 400.0, 0.0),
+               std::invalid_argument);
+  EXPECT_THROW(ModeSchedule::from_ras(1, 9, 1000.0, -400.0, 330.0),
+               std::invalid_argument);
+  EXPECT_THROW(ModeSchedule::from_ras(nan, 9, 1000.0, 400.0, 330.0),
+               std::invalid_argument);
+  EXPECT_THROW(ModeSchedule::from_ras(1, inf, 1000.0, 400.0, 330.0),
+               std::invalid_argument);
+  EXPECT_THROW(ModeSchedule::from_ras(1, 9, nan, 400.0, 330.0),
                std::invalid_argument);
 }
 

@@ -49,8 +49,8 @@ echo "check.sh: query/serve smoke matches golden transcripts"
 # Aging bench schema smoke: write BENCH_aging.json (timings and all — the
 # numbers vary per machine, the key set must not) and diff its sorted JSON
 # key set against the expected list.  Catches silently dropped or renamed
-# bench cases/fields — e.g. the SoA kernel or ΔVth-table sections going
-# missing — without pinning machine-dependent timings.
+# bench cases/fields — e.g. the SoA kernel section going missing —
+# without pinning machine-dependent timings.
 BENCH_BIN="$PWD/build/bench/bench_perf_micro"
 (cd "$QSMOKE_DIR" && run "$BENCH_BIN" --aging-json-only)
 grep -o '"[A-Za-z_0-9]*":' "$QSMOKE_DIR/BENCH_aging.json" | sort -u \
@@ -83,8 +83,8 @@ run ctest --test-dir build-asan -L determinism -j "$JOBS" --output-on-failure
 run cmake --preset tsan-determinism
 run cmake --build --preset tsan-determinism -j "$JOBS"
 run ctest --preset tsan-determinism -j "$JOBS"
-# The differential suite (SoA kernel vs scalar model, ΔVth table vs exact
-# recursion) is part of the determinism label above; run it by name too so
+# The differential suite (SoA kernel vs scalar model, optimized paths vs
+# naive reference evaluators) is part of the determinism label above; run it by name too so
 # a label regression can't silently drop it from the TSan gate.
 run ctest --test-dir build-tsan -R "Differential" -j "$JOBS" --output-on-failure
 
