@@ -22,10 +22,11 @@
 /// (e.g. sizing_step) appear only in their technique's.
 ///
 /// Determinism contract: run() must be bit-identical for every scheduler
-/// thread count. Inner engines are invoked with n_threads = 0 — the shared
-/// work pool, which runs them serially when the task already executes on a
-/// pool worker (see common/pool.h) — and every inner engine is itself
-/// bit-identical for any thread count, so this holds by construction;
+/// thread count. Inner engines are invoked with EvalContext::n_threads() —
+/// 0 under the campaign engine, i.e. the shared work pool, which runs them
+/// serially when the task already executes on a pool worker (see
+/// common/pool.h) — and every inner engine is itself bit-identical for any
+/// thread count, so this holds by construction;
 /// registry iteration (std::map) and metric order (fixed per analysis) are
 /// deterministic too.
 #pragma once
@@ -101,6 +102,11 @@ struct Params {
   int fail_points = 40;          ///< geometric time-grid points
   double weibull_beta = 2.0;     ///< unit-lifetime Weibull shape
   std::vector<double> fail_curve_years = {1.0, 2.0, 5.0, 10.0, 20.0, 30.0};
+  // multi + thermal + failure
+  /// Standby state: "stressed", "relaxed", "zeros", "ones" or "mlv" (see
+  /// EvalContext::standby_policy / standby_vector); empty = each
+  /// analysis's default (all stressed; thermal: all-0 inputs).
+  std::string standby;
 };
 
 /// Ordered metric list — the order is the JSONL member order, so it must be
@@ -179,5 +185,9 @@ std::string fmt_g(double v);
 
 /// Shared-knob prefix every fingerprint starts with: "sp<N>,seed<S>".
 std::string base_fingerprint(const Params& p);
+
+/// ",sb<mode>" when Params::standby is set, else "" — so the hashes of
+/// stores written before the knob existed stay valid.
+std::string standby_fingerprint(const Params& p);
 
 }  // namespace nbtisim::analysis

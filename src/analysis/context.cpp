@@ -8,6 +8,7 @@
 #include "netlist/bench_io.h"
 #include "netlist/generators.h"
 #include "netlist/verilog_io.h"
+#include "opt/mlv.h"
 #include "tech/units.h"
 
 namespace nbtisim::analysis {
@@ -100,20 +101,26 @@ const netlist::Netlist& ContextPool::netlist_for(const std::string& nl_spec) {
   });
 }
 
+aging::AgingConditions aging_conditions(const Condition& cond, const Params& p,
+                                        int n_threads) {
+  aging::AgingConditions c;
+  c.schedule = nbti::ModeSchedule::from_ras(cond.ras_active, cond.ras_standby,
+                                            1000.0, cond.t_active,
+                                            cond.t_standby);
+  c.total_time = cond.years * kSecondsPerYear;
+  c.sp_vectors = p.sp_vectors;
+  c.seed = p.seed;
+  c.n_threads = n_threads;
+  return c;
+}
+
 const aging::AgingAnalyzer& ContextPool::analyzer_for(
     const std::string& nl_spec, const Condition& cond) {
   const std::string key = nl_spec + "|" + cond.label();
   const netlist::Netlist& nl = netlist_for(nl_spec);
   return fill_slot<aging::AgingAnalyzer>(mutex_, analyzers_, key, [&] {
-    aging::AgingConditions c;
-    c.schedule = nbti::ModeSchedule::from_ras(cond.ras_active,
-                                              cond.ras_standby, 1000.0,
-                                              cond.t_active, cond.t_standby);
-    c.total_time = cond.years * kSecondsPerYear;
-    c.sp_vectors = params_.sp_vectors;
-    c.seed = params_.seed;
-    c.n_threads = 0;  // shared pool; serial when inside a pool task
-    return std::make_shared<aging::AgingAnalyzer>(nl, lib_, c);
+    return std::make_shared<aging::AgingAnalyzer>(
+        nl, lib_, aging_conditions(cond, params_, n_threads_));
   });
 }
 
@@ -130,5 +137,34 @@ const leakage::LeakageAnalyzer& ContextPool::leakage_for(
 }
 
 double EvalContext::horizon() const { return cond_.years * kSecondsPerYear; }
+
+std::vector<bool> EvalContext::standby_vector() {
+  const std::string& mode = params().standby;
+  const int n_inputs = netlist().num_inputs();
+  if (mode == "stressed" || mode == "relaxed") {
+    throw std::invalid_argument("standby \"" + mode +
+                                "\" is a policy, not an input vector "
+                                "(expected zeros|ones|mlv)");
+  }
+  if (mode == "ones") return std::vector<bool>(n_inputs, true);
+  if (mode == "mlv") {
+    const opt::MlvResult mlv =
+        opt::find_mlv_set(standby_leakage(), {.n_threads = n_threads()});
+    if (mlv.vectors.empty()) {
+      throw std::runtime_error("standby mlv: MLV search returned no vector");
+    }
+    return mlv.vectors.front();
+  }
+  return std::vector<bool>(n_inputs, false);  // unset or "zeros"
+}
+
+aging::StandbyPolicy EvalContext::standby_policy() {
+  const std::string& mode = params().standby;
+  if (mode.empty() || mode == "stressed") {
+    return aging::StandbyPolicy::all_stressed();
+  }
+  if (mode == "relaxed") return aging::StandbyPolicy::all_relaxed();
+  return aging::StandbyPolicy::from_vector(standby_vector());
+}
 
 }  // namespace nbtisim::analysis

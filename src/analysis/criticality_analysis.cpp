@@ -29,7 +29,7 @@ class CriticalityAnalysis final : public Analysis {
     cp.seed = p.seed;
     cp.aged = true;  // criticality of the circuit the condition produces
     cp.total_time = ctx.horizon();
-    cp.n_threads = 0;  // shared pool; serial when inside a pool task
+    cp.n_threads = ctx.n_threads();
     const variation::CriticalityResult r =
         variation::gate_criticality(ctx.aging(), cp);
     const double max_prob =

@@ -26,9 +26,9 @@ class DerateAnalysis final : public Analysis {
 
   Metrics run(EvalContext& ctx, const Params& p) const override {
     // One horizon-batched pass per policy over the cached stress
-    // descriptors; serial here — campaign parallelism is across tasks.
-    const report::DerateTable t =
-        report::aging_derate_table(ctx.aging(), p.derate_years, 1);
+    // descriptors.
+    const report::DerateTable t = report::aging_derate_table(
+        ctx.aging(), p.derate_years, ctx.n_threads());
     // Short policy tags keep the summarize columns readable:
     // worst_case -> "worst", inputs_all_zero -> "vec0", best_case -> "best".
     static constexpr const char* kTags[] = {"worst", "vec0", "best"};

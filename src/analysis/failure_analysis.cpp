@@ -1,8 +1,9 @@
 /// \file failure_analysis.cpp
 /// \brief "failure": the multi-mechanism failure suite as a grid analysis —
 ///        per-mechanism Weibull-aggregated MTTFs, the all-mechanism system
-///        MTTF, and the system failure curve samples, under the canonical
-///        worst-case (all-stressed) standby policy.
+///        MTTF, and the system failure curve samples, under the
+///        Params::standby policy (default: the worst-case all-stressed
+///        one).
 ///
 /// MTTF metrics are reported in years and clamped to 10x the crossing
 /// window: a mechanism that never fails inside the window would otherwise
@@ -34,21 +35,12 @@ class FailureAnalysis final : public Analysis {
       if (i > 0) fp += ":";
       fp += fmt_g(p.fail_curve_years[i]);
     }
-    return fp + "]";
+    return fp + "]" + standby_fingerprint(p);
   }
 
   Metrics run(EvalContext& ctx, const Params& p) const override {
-    aging::FailureParams fp;
-    fp.multi.clock_hz = p.clock_ghz * 1e9;
-    fp.multi.pbti.ratio = p.pbti_ratio;
-    fp.fail_dvth = p.fail_dvth;
-    fp.max_years = p.fail_max_years;
-    fp.time_points = p.fail_points;
-    fp.weibull_beta = p.weibull_beta;
-    fp.curve_years = p.fail_curve_years;
-    fp.n_threads = 0;  // shared pool; serial when inside a pool task
     const aging::FailureReport r = aging::analyze_failure(
-        ctx.aging(), aging::StandbyPolicy::all_stressed(), fp);
+        ctx.aging(), ctx.standby_policy(), failure_params(p, ctx.n_threads()));
 
     const double cap = 10.0 * p.fail_max_years;
     auto clamp = [cap](double years) {
@@ -79,6 +71,19 @@ class FailureAnalysis final : public Analysis {
 };
 
 }  // namespace
+
+aging::FailureParams failure_params(const Params& p, int n_threads) {
+  aging::FailureParams fp;
+  fp.multi.clock_hz = p.clock_ghz * 1e9;
+  fp.multi.pbti.ratio = p.pbti_ratio;
+  fp.fail_dvth = p.fail_dvth;
+  fp.max_years = p.fail_max_years;
+  fp.time_points = p.fail_points;
+  fp.weibull_beta = p.weibull_beta;
+  fp.curve_years = p.fail_curve_years;
+  fp.n_threads = n_threads;
+  return fp;
+}
 
 std::unique_ptr<Analysis> make_failure_analysis() {
   return std::make_unique<FailureAnalysis>();

@@ -22,7 +22,7 @@ class IvcAnalysis final : public Analysis {
     mlv.population = p.population;
     mlv.max_rounds = p.max_rounds;
     mlv.seed = p.seed;
-    mlv.n_threads = 0;  // shared pool; serial when inside a pool task
+    mlv.n_threads = ctx.n_threads();
     const opt::IvcResult r =
         opt::evaluate_ivc(ctx.aging(), ctx.standby_leakage(), mlv, 4);
     return {{"worst_pct", r.worst_case_percent},

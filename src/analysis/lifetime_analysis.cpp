@@ -24,7 +24,7 @@ class LifetimeAnalysis final : public Analysis {
     lt.spec_margin_percent = p.spec_margin;
     lt.samples = p.samples;
     lt.seed = p.seed;
-    lt.n_threads = 0;  // shared pool; serial when inside a pool task
+    lt.n_threads = ctx.n_threads();
     const variation::LifetimeResult r = variation::lifetime_distribution(
         ctx.aging(), aging::StandbyPolicy::all_stressed(), lt);
     return {{"median_years", r.quantile(0.5) / kSecondsPerYear},

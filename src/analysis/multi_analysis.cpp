@@ -1,7 +1,7 @@
 /// \file multi_analysis.cpp
 /// \brief "multi": the NBTI + PBTI + HCI mechanism comparison as a grid
-///        analysis — the registry port of the `nbtisim multi` CLI verb,
-///        under the canonical worst-case (all-stressed) standby policy.
+///        analysis under the Params::standby policy (default: the
+///        worst-case all-stressed one).
 
 #include <algorithm>
 
@@ -19,7 +19,7 @@ class MultiAnalysis final : public Analysis {
 
   std::string fingerprint(const Params& p) const override {
     return base_fingerprint(p) + ",clk" + fmt_g(p.clock_ghz) + ",pbti" +
-           fmt_g(p.pbti_ratio);
+           fmt_g(p.pbti_ratio) + standby_fingerprint(p);
   }
 
   Metrics run(EvalContext& ctx, const Params& p) const override {
@@ -27,7 +27,7 @@ class MultiAnalysis final : public Analysis {
     mp.clock_hz = p.clock_ghz * 1e9;
     mp.pbti.ratio = p.pbti_ratio;
     const aging::MultiAgingReport r = aging::analyze_multi_mechanism(
-        ctx.aging(), aging::StandbyPolicy::all_stressed(), mp);
+        ctx.aging(), ctx.standby_policy(), mp);
     double max_p = 0.0, max_n = 0.0;
     for (double d : r.pmos_dvth) max_p = std::max(max_p, d);
     for (double d : r.nmos_dvth) max_n = std::max(max_n, d);

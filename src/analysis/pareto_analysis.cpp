@@ -27,7 +27,7 @@ class ParetoAnalysis final : public Analysis {
     pp.improve_rounds = p.pareto_rounds;
     pp.flips_per_member = p.pareto_flips;
     pp.seed = p.seed;
-    pp.n_threads = 0;  // shared pool; serial when inside a pool task
+    pp.n_threads = ctx.n_threads();
     const opt::ParetoResult r =
         opt::pareto_standby_vectors(ctx.aging(), ctx.standby_leakage(), pp);
     const opt::ParetoPoint& balanced = r.pick(0.5);

@@ -15,6 +15,10 @@ std::string base_fingerprint(const Params& p) {
   return "sp" + std::to_string(p.sp_vectors) + ",seed" + std::to_string(p.seed);
 }
 
+std::string standby_fingerprint(const Params& p) {
+  return p.standby.empty() ? "" : ",sb" + p.standby;
+}
+
 std::string Condition::label() const {
   return "ras" + fmt_g(ras_active) + ":" + fmt_g(ras_standby) + ",ta" +
          fmt_g(t_active) + ",ts" + fmt_g(t_standby) + ",y" + fmt_g(years);

@@ -37,7 +37,7 @@ class SizingAnalysis final : public Analysis {
     sp.size_step = p.sizing_step;
     sp.max_size = p.sizing_max_size;
     sp.max_moves = p.sizing_max_moves;
-    sp.n_threads = 0;  // shared pool; serial when inside a pool task
+    sp.n_threads = ctx.n_threads();
     sp.slack_window_percent = p.sizing_slack_window;
     sp.moves_per_round = p.sizing_moves_per_round;
     const opt::SizingResult r = opt::size_for_lifetime(

@@ -50,11 +50,6 @@ Value execute_task(const CampaignSpec& spec, const Task& task,
 
 }  // namespace
 
-netlist::Netlist load_campaign_netlist(const std::string& spec,
-                                       bool cut_dffs) {
-  return analysis::load_netlist_spec(spec, cut_dffs);
-}
-
 RunStats run_campaign(const CampaignSpec& spec, const std::string& store_path,
                       std::ostream* progress) {
   const auto t0 = std::chrono::steady_clock::now();

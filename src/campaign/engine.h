@@ -35,7 +35,6 @@
 
 #include "campaign/spec.h"
 #include "campaign/store.h"
-#include "netlist/netlist.h"
 #include "report/report.h"
 
 namespace nbtisim::campaign {
@@ -75,13 +74,5 @@ RunStats run_campaign(const CampaignSpec& spec, const std::string& store_path,
 report::Table summarize(const CampaignSpec& spec,
                         const std::string& store_path,
                         SummaryStats* stats = nullptr);
-
-/// Loads a netlist from a campaign netlist spec string: a built-in ISCAS85
-/// name, a .bench / .v path, or the generator form
-/// "dag:<inputs>x<gates>@<seed>". (Thin wrapper over
-/// analysis::load_netlist_spec, kept for API stability.)
-/// \throws std::invalid_argument / std::runtime_error on bad specs or files
-netlist::Netlist load_campaign_netlist(const std::string& spec,
-                                       bool cut_dffs);
 
 }  // namespace nbtisim::campaign

@@ -23,6 +23,24 @@ void reject_unknown_keys(const common::json::Value& doc,
   }
 }
 
+/// Throws naming the first member of \p doc holding a non-finite number,
+/// directly or as an array element: every range check below compares with
+/// `<` or `<=`, which NaN passes.
+void reject_non_finite(const common::json::Value& doc) {
+  for (const auto& [key, value] : doc.as_object()) {
+    const common::json::Array one{value};
+    for (const common::json::Value& v : value.is_array() ? value.as_array()
+                                                         : one) {
+      if (v.is_number() && !std::isfinite(v.as_number())) {
+        throw std::invalid_argument("campaign: \"" + key +
+                                    "\" must be finite");
+      }
+    }
+  }
+}
+
+}  // namespace
+
 Condition condition_from_json(const common::json::Value& doc) {
   reject_unknown_keys(doc, {"ras", "t_active", "t_standby", "years"},
                       "condition");
@@ -33,8 +51,14 @@ Condition condition_from_json(const common::json::Value& doc) {
     if (colon == std::string::npos) {
       throw std::invalid_argument("campaign: condition \"ras\" expects \"A:S\"");
     }
-    c.ras_active = std::strtod(v.substr(0, colon).c_str(), nullptr);
-    c.ras_standby = std::strtod(v.substr(colon + 1).c_str(), nullptr);
+    // The whole side must be a number: "1x" is NaN, not 1.
+    auto number = [](const std::string& text) {
+      char* end = nullptr;
+      const double x = std::strtod(text.c_str(), &end);
+      return !text.empty() && *end == '\0' ? x : std::nan("");
+    };
+    c.ras_active = number(v.substr(0, colon));
+    c.ras_standby = number(v.substr(colon + 1));
     if (!std::isfinite(c.ras_active) || !std::isfinite(c.ras_standby) ||
         c.ras_active <= 0.0 || c.ras_standby < 0.0) {
       throw std::invalid_argument("campaign: bad \"ras\" value " + v);
@@ -62,8 +86,9 @@ void params_from_json(const common::json::Value& doc, CampaignParams& p) {
        "pareto_rounds", "pareto_flips", "crit_samples", "crit_sigma",
        "clock_ghz", "pbti_ratio", "thermal_power", "thermal_replication",
        "thermal_runaway_k", "fail_dvth", "fail_max_years", "fail_points",
-       "weibull_beta", "fail_curve_years"},
+       "weibull_beta", "fail_curve_years", "standby"},
       "params");
+  reject_non_finite(doc);
   p.sp_vectors = doc.int_or("sp_vectors", p.sp_vectors);
   p.seed = static_cast<std::uint64_t>(
       doc.number_or("seed", static_cast<double>(p.seed)));
@@ -107,6 +132,7 @@ void params_from_json(const common::json::Value& doc, CampaignParams& p) {
       p.fail_curve_years.push_back(y.as_number());
     }
   }
+  p.standby = doc.string_or("standby", p.standby);
 
   if (p.sp_vectors < 64 || p.samples < 2 || p.spec_margin <= 0.0 ||
       p.population < 2 || p.max_rounds < 1 || p.st_sigma <= 0.0 ||
@@ -150,9 +176,13 @@ void params_from_json(const common::json::Value& doc, CampaignParams& p) {
       throw std::invalid_argument("campaign: \"fail_curve_years\" must be > 0");
     }
   }
+  if (!p.standby.empty() && p.standby != "stressed" &&
+      p.standby != "relaxed" && p.standby != "zeros" && p.standby != "ones" &&
+      p.standby != "mlv") {
+    throw std::invalid_argument(
+        "campaign: \"standby\" expects stressed|relaxed|zeros|ones|mlv");
+  }
 }
-
-}  // namespace
 
 std::string Task::key(const CampaignParams& params) const {
   const analysis::Analysis& a =
@@ -162,6 +192,11 @@ std::string Task::key(const CampaignParams& params) const {
 }
 
 CampaignSpec spec_from_json(const common::json::Value& doc) {
+  reject_unknown_keys(doc,
+                      {"name", "netlists", "conditions", "analyses", "params",
+                       "n_threads", "shards", "cut_dffs"},
+                      "top-level");
+  reject_non_finite(doc);
   CampaignSpec spec;
   spec.name = doc.string_or("name", "campaign");
 

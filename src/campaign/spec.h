@@ -82,9 +82,24 @@ struct Task {
   std::string key(const CampaignParams& params) const;
 };
 
+/// Parses one element of a spec's "conditions" array, e.g.
+/// {"ras": "1:9", "t_active": 400, "t_standby": 330, "years": 10}; absent
+/// keys keep the Condition defaults.
+/// \throws std::invalid_argument naming an unknown key, or on a malformed,
+///         non-finite or non-positive value
+Condition condition_from_json(const common::json::Value& doc);
+
+/// Overlays a spec's "params" object onto \p p and validates the result.
+/// The one parser of engine knobs: campaign specs and the CLI flags both
+/// go through it.
+/// \throws std::invalid_argument naming an unknown key or a non-finite
+///         number, or on an out-of-range value
+void params_from_json(const common::json::Value& doc, CampaignParams& p);
+
 /// Parses a spec document; analysis names are validated against the global
 /// registry.
-/// \throws std::runtime_error / std::invalid_argument on schema violations
+/// \throws std::runtime_error / std::invalid_argument on schema violations,
+///         including unknown keys at any level
 CampaignSpec spec_from_json(const common::json::Value& doc);
 
 /// Loads and parses a spec file.

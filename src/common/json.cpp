@@ -57,8 +57,8 @@ class Parser {
   Value parse_value() {
     skip_ws();
     switch (peek()) {
-      case '{': return parse_object();
-      case '[': return parse_array();
+      case '{': return parse_nested(&Parser::parse_object);
+      case '[': return parse_nested(&Parser::parse_array);
       case '"': return Value(parse_string());
       case 't':
         if (consume_literal("true")) return Value(true);
@@ -83,6 +83,19 @@ class Parser {
         fail("bad literal");
       default: return parse_number();
     }
+  }
+
+  /// Parses one array or object one level deeper, refusing to recurse past
+  /// kMaxDepth so hostile input fails with the usual error instead of
+  /// exhausting the stack.
+  Value parse_nested(Value (Parser::*parse)()) {
+    if (depth_ == kMaxDepth) {
+      fail("nesting deeper than " + std::to_string(kMaxDepth) + " levels");
+    }
+    ++depth_;
+    Value v = (this->*parse)();
+    --depth_;
+    return v;
   }
 
   Value parse_object() {
@@ -240,6 +253,7 @@ class Parser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;  ///< arrays/objects currently open
 };
 
 // ---------------------------------------------------------------------------

@@ -92,9 +92,15 @@ class Value {
   std::variant<std::nullptr_t, bool, double, std::string, Array, Object> data_;
 };
 
+/// Deepest array/object nesting parse() accepts. Real documents (specs,
+/// queries, store rows) nest fewer than 5 levels; the cap keeps a hostile
+/// document from overflowing the recursive-descent parser's stack.
+inline constexpr int kMaxDepth = 256;
+
 /// Parses one JSON document (trailing whitespace allowed, trailing garbage
 /// rejected). Accepts the non-finite literals documented in the file comment.
-/// \throws std::runtime_error with byte offset on malformed input
+/// \throws std::runtime_error with byte offset on malformed input, including
+///         nesting deeper than kMaxDepth
 Value parse(std::string_view text);
 
 /// Encoding policy for non-finite doubles (see file comment).

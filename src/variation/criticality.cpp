@@ -1,13 +1,11 @@
 #include "variation/criticality.h"
 
 #include <algorithm>
-#include <random>
 #include <set>
 #include <stdexcept>
 
 #include "common/pool.h"
-#include "common/rng.h"
-#include "nbti/rd_model.h"
+#include "variation/sampler.h"
 
 namespace nbtisim::variation {
 
@@ -29,18 +27,12 @@ CriticalityResult gate_criticality(const aging::AgingAnalyzer& analyzer,
   }
   const sta::StaEngine& sta = analyzer.sta();
   const netlist::Netlist& nl = sta.netlist();
-  const tech::LibraryParams& lp = sta.library().params();
-  const nbti::RdParams& rd = analyzer.conditions().rd;
-
-  const std::vector<double> fresh =
-      sta.gate_delays(analyzer.conditions().sta_temperature);
+  const VthSampler sampler(analyzer, params.sigma_vth, params.seed);
   std::vector<double> dvth_nominal;
   if (params.aged) {
     dvth_nominal = analyzer.gate_dvth(aging::StandbyPolicy::all_stressed(),
                                       params.total_time);
   }
-  const double sens = lp.pmos.alpha / (lp.vdd - lp.pmos.vth0);
-  const double ff_nominal = nbti::field_factor(rd, lp.vdd, lp.pmos.vth0);
 
   CriticalityResult result;
   std::vector<double> hits(nl.num_gates(), 0.0);
@@ -51,19 +43,8 @@ CriticalityResult gate_criticality(const aging::AgingAnalyzer& analyzer,
   // result bit-identical for every n_threads.
   std::vector<std::vector<netlist::NodeId>> sample_paths(params.samples);
   common::parallel_for(params.samples, params.n_threads, [&](int s) {
-    std::mt19937_64 rng(common::stream_seed(params.seed, s));
-    std::normal_distribution<double> gauss(0.0, params.sigma_vth);
-    std::vector<double> delays(nl.num_gates());
-    for (int gi = 0; gi < nl.num_gates(); ++gi) {
-      const double offset = gauss(rng);
-      double dvth = 0.0;
-      if (params.aged) {
-        const double ff =
-            nbti::field_factor(rd, lp.vdd, lp.pmos.vth0 + offset);
-        dvth = dvth_nominal[gi] * (ff_nominal > 0.0 ? ff / ff_nominal : 1.0);
-      }
-      delays[gi] = fresh[gi] * (1.0 + sens * (offset + dvth));
-    }
+    std::vector<double> delays;
+    sampler.delays(sampler.draw(s, params.aged), dvth_nominal, delays);
     sample_paths[s] = sta.analyze(delays).critical_path;
   });
   for (const std::vector<netlist::NodeId>& path : sample_paths) {

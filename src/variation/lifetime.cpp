@@ -1,13 +1,10 @@
 #include "variation/lifetime.h"
 
-#include <algorithm>
 #include <cmath>
-#include <random>
 #include <stdexcept>
 
 #include "common/pool.h"
-#include "common/rng.h"
-#include "nbti/rd_model.h"
+#include "variation/sampler.h"
 
 namespace nbtisim::variation {
 
@@ -19,15 +16,7 @@ double LifetimeResult::failure_fraction_at(double t) const {
 }
 
 double LifetimeResult::quantile(double q) const {
-  if (lifetimes.empty()) throw std::logic_error("quantile of empty result");
-  if (q < 0.0 || q > 1.0) throw std::invalid_argument("quantile: bad q");
-  std::vector<double> sorted = lifetimes;
-  std::sort(sorted.begin(), sorted.end());
-  const double idx = q * (sorted.size() - 1);
-  const std::size_t lo = static_cast<std::size_t>(idx);
-  const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
-  const double frac = idx - lo;
-  return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
+  return empirical_quantile(lifetimes, q);
 }
 
 LifetimeResult lifetime_distribution(const aging::AgingAnalyzer& analyzer,
@@ -39,17 +28,12 @@ LifetimeResult lifetime_distribution(const aging::AgingAnalyzer& analyzer,
     throw std::invalid_argument("lifetime_distribution: bad parameters");
   }
   const sta::StaEngine& sta = analyzer.sta();
-  const netlist::Netlist& nl = sta.netlist();
-  const tech::LibraryParams& lp = sta.library().params();
-  const nbti::RdParams& rd = analyzer.conditions().rd;
+  const VthSampler sampler(analyzer, params.sigma_vth, params.seed);
 
-  const std::vector<double> fresh =
-      sta.gate_delays(analyzer.conditions().sta_temperature);
   std::vector<double> nominal_scratch;
-  const double nominal = sta.critical_delay(fresh, nominal_scratch);
+  const double nominal =
+      sta.critical_delay(sampler.fresh_delays(), nominal_scratch);
   const double spec = nominal * (1.0 + params.spec_margin_percent / 100.0);
-  const double sens = lp.pmos.alpha / (lp.vdd - lp.pmos.vth0);
-  const double ff_nominal = nbti::field_factor(rd, lp.vdd, lp.pmos.vth0);
 
   // Nominal per-gate dVth on a geometric time grid.
   const int n_grid = params.time_grid_points;
@@ -69,28 +53,16 @@ LifetimeResult lifetime_distribution(const aging::AgingAnalyzer& analyzer,
   // Samples are independent streams writing disjoint slots: bit-identical
   // for every n_threads.
   common::parallel_for(params.samples, params.n_threads, [&](int s) {
-    std::mt19937_64 rng(common::stream_seed(params.seed, s));
-    std::normal_distribution<double> gauss(0.0, params.sigma_vth);
-    std::vector<double> offsets(nl.num_gates());
-    std::vector<double> ff_scale(nl.num_gates());
-    for (int gi = 0; gi < nl.num_gates(); ++gi) {
-      offsets[gi] = gauss(rng);
-      const double ff =
-          nbti::field_factor(rd, lp.vdd, lp.pmos.vth0 + offsets[gi]);
-      ff_scale[gi] = ff_nominal > 0.0 ? ff / ff_nominal : 1.0;
-    }
+    const VthSample sample = sampler.draw(s, true);
 
     // Memoized per grid point: the bisection endpoints are re-read during
     // the final interpolation, and each STA pass costs a full circuit walk.
     std::vector<double> delay_cache(n_grid, -1.0);
-    std::vector<double> delays(nl.num_gates());
+    std::vector<double> delays;
     std::vector<double> arrival_scratch;
     auto delay_at_grid = [&](int k) {
       if (delay_cache[k] >= 0.0) return delay_cache[k];
-      for (int gi = 0; gi < nl.num_gates(); ++gi) {
-        const double dvth = grid_dvth[k][gi] * ff_scale[gi];
-        delays[gi] = fresh[gi] * (1.0 + sens * (offsets[gi] + dvth));
-      }
+      sampler.delays(sample, grid_dvth[k], delays);
       // Arrival-only STA: same max_delay bitwise, no TimingResult
       // allocation inside the per-sample bisection loop.
       return delay_cache[k] = sta.critical_delay(delays, arrival_scratch);

@@ -60,8 +60,6 @@ class MonteCarloAging {
                                       double total_time) const;
 
  private:
-  std::vector<double> sample_offsets(std::uint64_t stream) const;
-
   const aging::AgingAnalyzer* analyzer_;
   VariationParams params_;
 };

@@ -146,6 +146,9 @@ TEST(AnalysisFingerprintTest, TechniqueKnobsTouchOnlyTheirOwnHash) {
             V{"failure"});
   EXPECT_EQ(changed_by([](Params& p) { p.fail_curve_years = {1.0, 3.0}; }),
             V{"failure"});
+  // Unset by default, so its token leaves every pre-existing hash alone.
+  EXPECT_EQ(changed_by([](Params& p) { p.standby = "mlv"; }),
+            (V{"failure", "multi", "thermal"}));
 }
 
 TEST(AnalysisFingerprintTest, SharedKnobsTouchEveryHashExceptThermal) {

@@ -14,6 +14,7 @@
 #include <sstream>
 #include <thread>
 
+#include "analysis/context.h"
 #include "campaign/spec.h"
 #include "campaign/store.h"
 #include "report/report.h"
@@ -107,44 +108,78 @@ TEST(CampaignSpecTest, RejectsBadSpecs) {
           R"({"netlists": ["c432"], "analyses": ["aging"],
               "params": {"sp_vectors": 1}})")),
       std::invalid_argument);  // out-of-range param
+  EXPECT_THROW(
+      spec_from_json(parse(
+          R"({"netlists": ["c432"], "analyses": ["multi"],
+              "params": {"standby": "sideways"}})")),
+      std::invalid_argument);  // unknown standby state
+}
+
+// The error a spec fails with, or "no exception".
+std::string spec_error(const std::string& text) {
+  try {
+    spec_from_json(common::json::parse(text));
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "no exception";
 }
 
 TEST(CampaignSpecTest, RejectsUnknownKeysByName) {
-  using common::json::parse;
   // A typo, or an option the engine no longer has, must not silently run
   // with the default value.
-  auto message = [](const char* text) -> std::string {
-    try {
-      spec_from_json(parse(text));
-    } catch (const std::invalid_argument& e) {
-      return e.what();
-    }
-    return "no exception";
-  };
-  EXPECT_NE(message(R"({"netlists": ["c432"], "analyses": ["aging"],
+  EXPECT_NE(spec_error(R"({"netlists": ["c432"], "analyses": ["aging"],
                         "params": {"sp_vector": 256}})")
                 .find("\"sp_vector\""),
             std::string::npos);
-  EXPECT_NE(message(R"({"netlists": ["c432"], "analyses": ["lifetime"],
+  EXPECT_NE(spec_error(R"({"netlists": ["c432"], "analyses": ["lifetime"],
                         "params": {"samples": 20, "spec_margn": 4}})")
                 .find("\"spec_margn\""),
             std::string::npos);
-  EXPECT_NE(message(R"({"netlists": ["c432"], "analyses": ["aging"],
+  EXPECT_NE(spec_error(R"({"netlists": ["c432"], "analyses": ["aging"],
                         "conditions": [{"ras": "1:9", "t_stanby": 400}]})")
                 .find("\"t_stanby\""),
+            std::string::npos);
+  EXPECT_NE(spec_error(R"({"netlists": ["c432"], "analyses": ["aging"],
+                        "frobnicate": 3})")
+                .find("\"frobnicate\""),
             std::string::npos);
 }
 
 TEST(CampaignSpecTest, RejectsNonFiniteConditionValues) {
   using common::json::parse;
   for (const char* cond : {R"({"t_standby": NaN})", R"({"t_active": Infinity})",
-                           R"({"years": NaN})", R"({"ras": "nan:9"})"}) {
+                           R"({"years": NaN})", R"({"ras": "nan:9"})",
+                           R"({"ras": "1x:9"})", R"({"ras": "1:9s"})",
+                           R"({"ras": "1:"})"}) {
     const std::string text =
         std::string(R"({"netlists": ["c432"], "analyses": ["aging"],
                         "conditions": [)") +
         cond + "]}";
     EXPECT_THROW(spec_from_json(parse(text)), std::invalid_argument) << cond;
   }
+}
+
+TEST(CampaignSpecTest, RejectsNonFiniteParamsByName) {
+  // NaN passes every `<= 0` range check, so finiteness is checked first:
+  // {"st_sigma": NaN} must not run and store "st_total_pct":NaN.
+  for (const char* param :
+       {R"("st_sigma": NaN)", R"("clock_ghz": Infinity)",
+        R"("sizing_margin": -Infinity)", R"("samples": NaN)",
+        R"("seed": NaN)", R"("thermal_power": NaN)",
+        R"("derate_years": [1, NaN])", R"("fail_curve_years": [Infinity])"}) {
+    const std::string text =
+        std::string(R"({"netlists": ["c432"], "analyses": ["aging"],
+                        "params": {)") +
+        param + "}}";
+    const std::string key(param, std::string_view(param).find(':'));
+    EXPECT_NE(spec_error(text).find(key), std::string::npos)
+        << param << ": " << spec_error(text);
+  }
+  EXPECT_NE(spec_error(R"({"netlists": ["c432"], "analyses": ["aging"],
+                           "n_threads": NaN})")
+                .find("\"n_threads\""),
+            std::string::npos);
 }
 
 TEST(CampaignSpecTest, ExpandBuildsTheFullGridWithStableHashes) {
@@ -172,13 +207,13 @@ TEST(CampaignSpecTest, ExpandBuildsTheFullGridWithStableHashes) {
 }
 
 TEST(CampaignSpecTest, NetlistSpecForms) {
-  EXPECT_EQ(load_campaign_netlist("c432", false).name(), "c432");
-  const netlist::Netlist dag = load_campaign_netlist("dag:8x40@3", false);
+  using analysis::load_netlist_spec;
+  EXPECT_EQ(load_netlist_spec("c432", false).name(), "c432");
+  const netlist::Netlist dag = load_netlist_spec("dag:8x40@3", false);
   EXPECT_EQ(dag.num_inputs(), 8);
   EXPECT_EQ(dag.name(), "dag_8x40_3");
-  EXPECT_THROW(load_campaign_netlist("dag:8x40", false),
-               std::invalid_argument);
-  EXPECT_THROW(load_campaign_netlist("/no/such/file.bench", false),
+  EXPECT_THROW(load_netlist_spec("dag:8x40", false), std::invalid_argument);
+  EXPECT_THROW(load_netlist_spec("/no/such/file.bench", false),
                std::runtime_error);
 }
 

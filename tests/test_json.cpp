@@ -104,6 +104,27 @@ TEST(JsonTest, RejectsLowercaseNonFiniteLiterals) {
   EXPECT_THROW(parse("infinity"), std::runtime_error);
 }
 
+// Nesting past kMaxDepth is a typed parse error, not a stack overflow: a
+// hostile spec or query line of 200k '[' must not crash the process.
+TEST(JsonTest, NestingDepthIsBounded) {
+  auto nested = [](int depth, char open, char close) {
+    return std::string(depth, open) + std::string(depth, close);
+  };
+  EXPECT_NO_THROW(parse(nested(kMaxDepth, '[', ']')));
+  EXPECT_THROW(parse(nested(kMaxDepth + 1, '[', ']')), std::runtime_error);
+  std::string objects;
+  for (int i = 0; i <= kMaxDepth; ++i) objects += R"({"a":)";
+  objects += "1" + std::string(kMaxDepth + 1, '}');
+  EXPECT_THROW(parse(objects), std::runtime_error);
+  try {
+    parse(std::string(200000, '['));
+    ADD_FAILURE() << "200k-deep document parsed";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("nesting"), std::string::npos)
+        << e.what();
+  }
+}
+
 // The strict-interchange policy: NonFinite::Null encodes every non-finite
 // number as null, producing RFC 8259 output for external consumers (the
 // query/serve layer). Finite numbers are untouched.

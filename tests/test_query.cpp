@@ -522,6 +522,23 @@ TEST(ServeTest, SessionAnswersLineByLine) {
   remove_store(path);
 }
 
+TEST(ServeTest, SessionSurvivesADeeplyNestedLine) {
+  const std::string path = build_store("serve_deep.jsonl", 12, 2);
+  const StoreView view(path);
+  std::istringstream in(std::string(200000, '[') + "\n" +
+                        "{\"agg\":{\"op\":\"count\"}}\n");
+  std::ostringstream out;
+  serve_session(view, in, out, 1);
+  std::istringstream lines(out.str());
+  std::string deep, next;
+  ASSERT_TRUE(std::getline(lines, deep));
+  EXPECT_EQ(deep.find(R"({"ok":false,"error":)"), 0u) << deep;
+  ASSERT_TRUE(std::getline(lines, next));
+  EXPECT_EQ(next.find(R"({"ok":true)"), 0u) << next;
+  EXPECT_NE(next.find(R"("matched":12)"), std::string::npos) << next;
+  remove_store(path);
+}
+
 TEST(ServeTest, BitIdenticalResponsesAcrossConcurrentSessions) {
   const std::string path = build_store("serve_c.jsonl", 131, 8);
   const StoreView view(path);  // one shared view, many sessions
