@@ -1,8 +1,11 @@
 #include "aging/aging.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <stdexcept>
+#include <unordered_set>
+#include <utility>
 
 #include "common/pool.h"
 
@@ -20,6 +23,10 @@ constexpr std::size_t kMaxCachedPolicies = 16;
 // parallel decomposition fine-grained.  Chunk boundaries do not affect
 // results (each gate writes only its own slot).
 constexpr int kKernelGateChunk = 64;
+
+// Devices handed out per work-pool index by stress_contexts: with the S_n
+// prefix memoized, each context costs well under a microsecond.
+constexpr int kContextGrain = 256;
 
 std::vector<double> resolve_input_sp(const netlist::Netlist& nl,
                                      const AgingConditions& cond) {
@@ -127,10 +134,8 @@ AgingAnalyzer::stress_descriptors(const StandbyPolicy& policy) const {
     desc->gate_begin[gi + 1] =
         desc->gate_begin[gi] + static_cast<int>(cell.pmos_devices().size());
   }
-  std::vector<nbti::DeviceAging::StressContext> contexts(
-      desc->gate_begin.back());
+  std::vector<nbti::DeviceStress> stresses(desc->gate_begin.back());
 
-  const nbti::DeviceAging model(cond_.rd, cond_.method);
   common::parallel_for(nl_->num_gates(), cond_.n_threads, [&](int gi) {
     const netlist::Gate& g = nl_->gate(gi);
     const tech::Cell& cell = lib_->cell(sta_.gate_cell(gi));
@@ -154,7 +159,7 @@ AgingAnalyzer::stress_descriptors(const StandbyPolicy& policy) const {
 
     int slot = desc->gate_begin[gi];
     for (const tech::PmosDevice& pm : cell.pmos_devices()) {
-      nbti::DeviceStress stress;
+      nbti::DeviceStress& stress = stresses[slot];
       stress.active_stress_prob = 1.0 - sp[pm.gate_signal];
       stress.vgs = vdd;
       stress.vth0 = lib_->params().pmos.vth0 +
@@ -179,11 +184,14 @@ AgingAnalyzer::stress_descriptors(const StandbyPolicy& policy) const {
           break;
         }
       }
-      contexts[slot] = model.make_context(stress, cond_.schedule);
       ++slot;
     }
   });
-  desc->kernel = nbti::RdKernel(model, std::move(contexts));
+  // The stress profiles are freed before the kernel packs the contexts.
+  std::vector<nbti::DeviceAging::StressContext> contexts =
+      stress_contexts(std::exchange(stresses, {}));
+  desc->kernel = nbti::RdKernel(nbti::DeviceAging(cond_.rd, cond_.method),
+                                std::move(contexts));
 
   std::lock_guard<std::mutex> lock(cache_mutex_);
   // Another thread may have built the same policy concurrently; reuse its
@@ -198,9 +206,82 @@ AgingAnalyzer::stress_descriptors(const StandbyPolicy& policy) const {
   return desc;
 }
 
+std::vector<nbti::DeviceAging::StressContext> AgingAnalyzer::stress_contexts(
+    std::span<const nbti::DeviceStress> stresses) const {
+  const nbti::DeviceAging model(cond_.rd, cond_.method);
+  const int n = static_cast<int>(stresses.size());
+  std::vector<std::uint64_t> duty_key(n);
+  std::shared_ptr<const PrefixMemo> memo;
+  {
+    // One build at a time finds and fills the memo's missing duties:
+    // concurrent builds would otherwise each compute the duties they
+    // share, at a cost that depends on how their runs overlap.
+    std::lock_guard<std::mutex> build(prefix_build_mutex_);
+    {
+      std::lock_guard<std::mutex> lock(cache_mutex_);
+      memo = prefix_memo_;
+    }
+    // Each device's equivalent duty, flagged when the memo lacks it.  The
+    // snapshot is immutable, so no lock is taken per device.
+    std::vector<char> missing(n);
+    common::parallel_for_grain(n, cond_.n_threads, kContextGrain, [&](int i) {
+      duty_key[i] = std::bit_cast<std::uint64_t>(
+          model.equivalent_duty(stresses[i], cond_.schedule));
+      missing[i] = memo->contains(duty_key[i]) ? 0 : 1;
+    });
+    memo = add_prefixes(std::move(memo), duty_key, missing);
+  }
+
+  std::vector<nbti::DeviceAging::StressContext> contexts(n);
+  common::parallel_for_grain(n, cond_.n_threads, kContextGrain, [&](int i) {
+    contexts[i] = model.make_context(stresses[i], cond_.schedule,
+                                     memo->at(duty_key[i]));
+  });
+  return contexts;
+}
+
+std::shared_ptr<const AgingAnalyzer::PrefixMemo> AgingAnalyzer::add_prefixes(
+    std::shared_ptr<const PrefixMemo> snapshot,
+    std::span<const std::uint64_t> duty_key,
+    std::span<const char> missing) const {
+  std::vector<std::uint64_t> fresh;
+  {
+    std::unordered_set<std::uint64_t> seen;
+    for (std::size_t i = 0; i < duty_key.size(); ++i) {
+      if (missing[i] && seen.insert(duty_key[i]).second) {
+        fresh.push_back(duty_key[i]);
+      }
+    }
+  }
+  if (fresh.empty()) return snapshot;
+  std::vector<nbti::SnPrefix> prefixes(fresh.size());
+  common::parallel_for(static_cast<int>(fresh.size()), cond_.n_threads,
+                       [&](int i) {
+                         prefixes[i] = nbti::make_sn_prefix(
+                             std::bit_cast<double>(fresh[i]));
+                       });
+  const auto with_fresh = [&](const PrefixMemo& base) {
+    auto next = std::make_shared<PrefixMemo>(base);
+    for (std::size_t i = 0; i < fresh.size(); ++i) {
+      next->try_emplace(fresh[i], prefixes[i]);
+    }
+    return next;
+  };
+
+  // Copy-on-write: builds attaching contexts keep reading the snapshot they
+  // took.  An invalidate_stress_cache() since the snapshot dropped entries
+  // this build still reads, so then the build keeps its own snapshot plus
+  // the new prefixes.
+  std::lock_guard<std::mutex> lock(cache_mutex_);
+  const bool unchanged = prefix_memo_ == snapshot;
+  prefix_memo_ = with_fresh(*prefix_memo_);
+  return unchanged ? prefix_memo_ : with_fresh(*snapshot);
+}
+
 void AgingAnalyzer::invalidate_stress_cache() const {
   std::lock_guard<std::mutex> lock(cache_mutex_);
   stress_cache_.clear();
+  prefix_memo_ = std::make_shared<const PrefixMemo>();
 }
 
 std::vector<double> AgingAnalyzer::gate_dvth(

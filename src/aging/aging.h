@@ -19,6 +19,7 @@
 #include <mutex>
 #include <optional>
 #include <span>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -109,6 +110,18 @@ struct DegradationReport {
 };
 
 /// NBTI degradation analyzer bound to one netlist (Fig. 6 platform).
+///
+/// Owns two caches, both dropped with the analyzer or by
+/// invalidate_stress_cache():
+///   - per-policy stress descriptors, the newest kMaxCachedPolicies (16)
+///     policies;
+///   - the duty memo: the S_n recursion prefix (nbti::make_sn_prefix) of
+///     every equivalent duty a descriptor build has met, keyed on the
+///     duty's bit pattern and shared by all threads and policies.  A
+///     circuit has far fewer distinct duties than PMOS devices, and an
+///     evicted policy rebuilds without running the recursion again.  Each
+///     prefix is a pure function of its key, so results are bitwise those
+///     of nbti::DeviceAging::make_context(stress, schedule).
 class AgingAnalyzer {
  public:
   /// \throws std::invalid_argument for a non-finite cond.total_time or
@@ -135,9 +148,10 @@ class AgingAnalyzer {
   std::vector<double> gate_dvth(const StandbyPolicy& policy,
                                 std::optional<double> total_time = {}) const;
 
-  /// Drops all cached per-policy stress descriptors.  Useful to reclaim
-  /// memory after sweeping many distinct policies, and to benchmark the
-  /// build phase itself (bench_perf_micro's "uncached" legs).
+  /// Drops all cached per-policy stress descriptors and the duty memo, so
+  /// the next build is cold.  Useful to reclaim memory after sweeping many
+  /// distinct policies, and to benchmark the build phase itself
+  /// (bench_perf_micro's "uncached" legs).
   void invalidate_stress_cache() const;
 
   /// Number of stress-descriptor build phases executed so far (cache misses).
@@ -146,6 +160,14 @@ class AgingAnalyzer {
   std::uint64_t stress_build_count() const {
     return stress_builds_.load(std::memory_order_relaxed);
   }
+
+  /// Evaluation contexts of \p stresses under the analyzer's schedule and
+  /// R-D model, in order — bitwise DeviceAging::make_context(stress,
+  /// schedule) of each, with the S_n prefixes drawn from (and new duties
+  /// added to) the duty memo.  The PMOS descriptor build and the PBTI
+  /// kernel both go through it.  Parallel over AgingConditions::n_threads.
+  std::vector<nbti::DeviceAging::StressContext> stress_contexts(
+      std::span<const nbti::DeviceStress> stresses) const;
 
   /// Fresh critical delay [s] (gate_delay_scale applied) — precomputed once
   /// at construction; what analyze() reports as fresh_delay.
@@ -181,10 +203,10 @@ class AgingAnalyzer {
 
  private:
   /// Build-once product of the pipeline's per-policy phase: every PMOS
-  /// device's evaluation state (equivalent cycle, K_v, S_n prefix) under
-  /// cond_.schedule, flattened over gates and packed into the SoA kernel,
-  /// which owns the only copy.  Only the horizon varies between
-  /// evaluations, and each horizon is O(1) per device.
+  /// device's evaluation state (equivalent cycle, K_v, S_n prefix from the
+  /// duty memo) under cond_.schedule, flattened over gates and packed into
+  /// the SoA kernel, which owns the only copy.  Only the horizon varies
+  /// between evaluations, and each horizon is O(1) per device.
   struct StressDescriptors {
     StandbyPolicy policy;         // cache key
     std::vector<int> gate_begin;  // size num_gates + 1, CSR into kernel
@@ -196,6 +218,18 @@ class AgingAnalyzer {
   std::shared_ptr<const StressDescriptors> stress_descriptors(
       const StandbyPolicy& policy) const;
 
+  /// The duty memo: S_n prefix by the bit pattern of the equivalent duty.
+  using PrefixMemo = std::unordered_map<std::uint64_t, nbti::SnPrefix>;
+
+  /// Computes the prefixes of the duties flagged \p missing from
+  /// \p snapshot (each distinct duty once), publishes them, and returns a
+  /// memo holding every duty in \p duty_key.  Called under
+  /// prefix_build_mutex_.
+  std::shared_ptr<const PrefixMemo> add_prefixes(
+      std::shared_ptr<const PrefixMemo> snapshot,
+      std::span<const std::uint64_t> duty_key,
+      std::span<const char> missing) const;
+
   const netlist::Netlist* nl_;
   const tech::Library* lib_;
   AgingConditions cond_;
@@ -204,7 +238,13 @@ class AgingAnalyzer {
   std::vector<double> fresh_delays_;
   double fresh_critical_delay_ = 0.0;
   mutable std::mutex cache_mutex_;
+  /// Held by stress_contexts from its memo snapshot to publishing the new
+  /// prefixes, so no duty's prefix is computed twice.
+  mutable std::mutex prefix_build_mutex_;
   mutable std::vector<std::shared_ptr<const StressDescriptors>> stress_cache_;
+  /// Immutable once published; replaced (copy-on-write) under cache_mutex_.
+  mutable std::shared_ptr<const PrefixMemo> prefix_memo_ =
+      std::make_shared<const PrefixMemo>();
   mutable std::atomic<std::uint64_t> stress_builds_{0};
 };
 

@@ -99,12 +99,8 @@ PbtiStressSet build_pbti_stress(const AgingAnalyzer& analyzer,
 nbti::RdKernel build_pbti_kernel(const AgingAnalyzer& analyzer,
                                  const PbtiStressSet& set) {
   const AgingConditions& cond = analyzer.conditions();
-  const nbti::DeviceAging model(cond.rd, cond.method);
-  std::vector<nbti::DeviceAging::StressContext> ctxs(set.devices.size());
-  for (std::size_t di = 0; di < set.devices.size(); ++di) {
-    ctxs[di] = model.make_context(set.devices[di], cond.schedule);
-  }
-  return nbti::RdKernel(model, std::move(ctxs));
+  return nbti::RdKernel(nbti::DeviceAging(cond.rd, cond.method),
+                        analyzer.stress_contexts(set.devices));
 }
 
 MultiAgingReport analyze_multi_mechanism(const AgingAnalyzer& analyzer,

@@ -8,7 +8,7 @@ namespace nbtisim::leakage {
 LeakageAnalyzer::LeakageAnalyzer(const netlist::Netlist& nl,
                                  const tech::Library& lib, double temp_k,
                                  std::vector<double> gate_vth_offsets)
-    : nl_(&nl), lib_(&lib), table_(lib, temp_k) {
+    : nl_(&nl), lib_(&lib), table_(lib.leakage_table(temp_k)) {
   cells_.reserve(nl.num_gates());
   for (const netlist::Gate& g : nl.gates()) {
     cells_.push_back(lib.id_for(g.fn, static_cast<int>(g.fanins.size())));
@@ -34,7 +34,7 @@ LeakageAnalyzer::LeakageAnalyzer(const netlist::Netlist& nl,
       if (idx < 0) {
         idx = static_cast<int>(distinct.size());
         distinct.push_back(off);
-        extra_.emplace_back(lib, temp_k, off);
+        extra_.push_back(lib.leakage_table(temp_k, off));
       }
       table_of_gate_[gi] = idx;
     }
@@ -42,8 +42,8 @@ LeakageAnalyzer::LeakageAnalyzer(const netlist::Netlist& nl,
 }
 
 const tech::LeakageTable& LeakageAnalyzer::table_for(int gate_idx) const {
-  if (table_of_gate_.empty() || table_of_gate_[gate_idx] < 0) return table_;
-  return extra_[table_of_gate_[gate_idx]];
+  if (table_of_gate_.empty() || table_of_gate_[gate_idx] < 0) return *table_;
+  return *extra_[table_of_gate_[gate_idx]];
 }
 
 std::vector<double> LeakageAnalyzer::gate_leakage(

@@ -8,6 +8,7 @@
 ///   I_leakage(v) = sum_IN I_l(v, IN) * Prob(v, IN)      (eq. 24)
 #pragma once
 
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -17,17 +18,21 @@
 
 namespace nbtisim::leakage {
 
-/// Leakage estimator bound to (netlist, library, temperature).
+/// Leakage estimator bound to (netlist, library, temperature).  Its tables
+/// come from the library's shared memo (tech::Library::leakage_table), so
+/// analyzers at one temperature share their characterized entries.
 class LeakageAnalyzer {
  public:
   /// \param gate_vth_offsets optional per-gate threshold offsets (dual-Vth
-  ///        assignment); one extra lookup table is characterized per
-  ///        distinct offset value
+  ///        assignment); one extra lookup table is used per distinct offset
+  ///        value (offsets within 1e-9 V of an earlier one share its table)
+  /// \throws std::invalid_argument for a temperature that is not finite and
+  ///         positive, or mis-sized offsets
   LeakageAnalyzer(const netlist::Netlist& nl, const tech::Library& lib,
                   double temp_k, std::vector<double> gate_vth_offsets = {});
 
-  double temperature() const { return table_.temperature(); }
-  const tech::LeakageTable& table() const { return table_; }
+  double temperature() const { return table_->temperature(); }
+  const tech::LeakageTable& table() const { return *table_; }
   const netlist::Netlist& netlist() const { return *nl_; }
   const tech::Library& library() const { return *lib_; }
 
@@ -46,8 +51,9 @@ class LeakageAnalyzer {
 
   const netlist::Netlist* nl_;
   const tech::Library* lib_;
-  tech::LeakageTable table_;                 // nominal-Vth table
-  std::vector<tech::LeakageTable> extra_;    // one per distinct offset
+  std::shared_ptr<const tech::LeakageTable> table_;  // nominal-Vth table
+  // One per distinct offset, keyed on the first offset of its 1e-9 group.
+  std::vector<std::shared_ptr<const tech::LeakageTable>> extra_;
   std::vector<int> table_of_gate_;           // -1 = nominal, else extra index
   std::vector<tech::CellId> cells_;
 };

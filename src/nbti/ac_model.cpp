@@ -2,13 +2,17 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 namespace nbtisim::nbti {
 namespace {
 
+// Written so that NaN fails it: a NaN duty would otherwise run the S_n
+// recursion to NaN and become a key of AgingAnalyzer's duty memo.
 void check_duty(double duty) {
-  if (duty < 0.0 || duty > 1.0) {
-    throw std::invalid_argument("AC stress duty must lie in [0, 1]");
+  if (!(duty >= 0.0 && duty <= 1.0)) {
+    throw std::invalid_argument("AC stress duty must lie in [0, 1], got " +
+                                std::to_string(duty));
   }
 }
 

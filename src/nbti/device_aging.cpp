@@ -1,6 +1,8 @@
 #include "nbti/device_aging.h"
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <stdexcept>
 
 namespace nbtisim::nbti {
@@ -35,7 +37,7 @@ double DeviceAging::delta_vth(const DeviceStress& stress,
   return eval(stress, schedule, total_time, /*worst_case_temp=*/false);
 }
 
-DeviceAging::StressContext DeviceAging::make_context(
+DeviceAging::StressContext DeviceAging::context_without_prefix(
     const DeviceStress& stress, const ModeSchedule& schedule) const {
   StressContext ctx;
   ctx.schedule_period = schedule.period();
@@ -54,10 +56,36 @@ DeviceAging::StressContext DeviceAging::make_context(
   if (ctx.ac.period <= 0.0) {
     throw std::invalid_argument("make_context: non-positive period");
   }
-  ctx.prefix = make_sn_prefix(ctx.ac.duty);
   ctx.kv = kv_at(params_, ctx.temp_active, ctx.vgs, ctx.vth0);
   ctx.period_pow = std::pow(ctx.ac.period, 0.25);
   return ctx;
+}
+
+DeviceAging::StressContext DeviceAging::make_context(
+    const DeviceStress& stress, const ModeSchedule& schedule) const {
+  StressContext ctx = context_without_prefix(stress, schedule);
+  if (!ctx.always_zero) ctx.prefix = make_sn_prefix(ctx.ac.duty);
+  return ctx;
+}
+
+DeviceAging::StressContext DeviceAging::make_context(
+    const DeviceStress& stress, const ModeSchedule& schedule,
+    const SnPrefix& prefix) const {
+  StressContext ctx = context_without_prefix(stress, schedule);
+  if (ctx.always_zero) return ctx;
+  if (std::bit_cast<std::uint64_t>(prefix.duty) !=
+      std::bit_cast<std::uint64_t>(ctx.ac.duty)) {
+    throw std::invalid_argument("make_context: S_n prefix is for another duty");
+  }
+  ctx.prefix = prefix;
+  return ctx;
+}
+
+double DeviceAging::equivalent_duty(const DeviceStress& stress,
+                                    const ModeSchedule& schedule) const {
+  const EquivalentCycle eq =
+      equivalent_cycle(params_, stress, schedule, scale_recovery_);
+  return eq.stress_time <= 0.0 ? 0.0 : eq.duty();
 }
 
 double DeviceAging::delta_vth(const StressContext& ctx,

@@ -59,6 +59,21 @@ class DeviceAging {
   StressContext make_context(const DeviceStress& stress,
                              const ModeSchedule& schedule) const;
 
+  /// As make_context(stress, schedule), but with the S_n prefix — the only
+  /// O(kSnExactCycles) part of a context — supplied by the caller instead
+  /// of computed.  \p prefix must be make_sn_prefix(equivalent_duty(stress,
+  /// schedule)); the context is then bit-identical to the oracle overload.
+  /// AgingAnalyzer feeds it from its duty memo.
+  /// \throws std::invalid_argument when prefix.duty is not that duty
+  StressContext make_context(const DeviceStress& stress,
+                             const ModeSchedule& schedule,
+                             const SnPrefix& prefix) const;
+
+  /// The equivalent AC duty of \p stress under \p schedule, the key of the
+  /// S_n prefix make_context needs (0 when there is no equivalent stress).
+  double equivalent_duty(const DeviceStress& stress,
+                         const ModeSchedule& schedule) const;
+
   /// dVth after \p total_time seconds via a precomputed context [V].
   double delta_vth(const StressContext& ctx, double total_time) const;
 
@@ -77,6 +92,9 @@ class DeviceAging {
  private:
   double eval(const DeviceStress& stress, const ModeSchedule& schedule,
               double total_time, bool worst_case_temp) const;
+  /// Every field of make_context's result but the S_n prefix.
+  StressContext context_without_prefix(const DeviceStress& stress,
+                                       const ModeSchedule& schedule) const;
 
   RdParams params_;
   AcEvalMethod method_;

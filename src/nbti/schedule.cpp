@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 namespace nbtisim::nbti {
 
@@ -36,12 +37,17 @@ EquivalentCycle equivalent_cycle(const RdParams& p, const DeviceStress& stress,
       schedule.period() <= 0.0) {
     throw std::invalid_argument("equivalent_cycle: bad schedule times");
   }
-  if (stress.active_stress_prob < 0.0 || stress.active_stress_prob > 1.0) {
-    throw std::invalid_argument("equivalent_cycle: stress prob outside [0,1]");
-  }
-  if (stress.standby_stress_fraction > 1.0) {
+  // NaN fails both checks: a NaN probability would otherwise yield a
+  // context whose dVth is a silent 0.
+  if (!(stress.active_stress_prob >= 0.0 && stress.active_stress_prob <= 1.0)) {
     throw std::invalid_argument(
-        "equivalent_cycle: standby stress fraction > 1");
+        "equivalent_cycle: stress prob outside [0,1], got " +
+        std::to_string(stress.active_stress_prob));
+  }
+  if (!(stress.standby_stress_fraction <= 1.0)) {
+    throw std::invalid_argument(
+        "equivalent_cycle: standby stress fraction above 1 or NaN, got " +
+        std::to_string(stress.standby_stress_fraction));
   }
   const double d_ratio =
       diffusion_ratio(p, schedule.temp_standby, schedule.temp_active);

@@ -5,6 +5,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstring>
 #include <istream>
 #include <ostream>
@@ -20,6 +21,38 @@ bool is_blank(std::string_view line) {
     if (c != ' ' && c != '\t' && c != '\r') return false;
   }
   return true;
+}
+
+std::string error_response(const std::string& message) {
+  common::json::Value err;
+  err.set("ok", common::json::Value(false));
+  err.set("error", common::json::Value(message));
+  return common::json::dump(err, -1, common::json::NonFinite::Null);
+}
+
+/// The answer to a line over kMaxRequestLine; the session closes after it.
+std::string too_long_response() {
+  return error_response("request line longer than " +
+                        std::to_string(kMaxRequestLine) +
+                        " bytes; closing the session");
+}
+
+enum class LineRead { Line, TooLong, End };
+
+/// Reads the next line of \p in, without its newline, into \p line —
+/// std::getline, except that it stops reading past kMaxRequestLine bytes.
+LineRead read_line(std::istream& in, std::string& line) {
+  line.clear();
+  std::streambuf* buf = in.rdbuf();
+  for (;;) {
+    const int c = buf->sbumpc();
+    if (c == std::char_traits<char>::eof()) {
+      return line.empty() ? LineRead::End : LineRead::Line;
+    }
+    if (c == '\n') return LineRead::Line;
+    if (line.size() == kMaxRequestLine) return LineRead::TooLong;
+    line.push_back(static_cast<char>(c));
+  }
 }
 
 }  // namespace
@@ -42,17 +75,21 @@ std::string handle_query(const StoreView& view, std::string_view line,
     out += '}';
     return out;
   } catch (const std::exception& e) {
-    Value err;
-    err.set("ok", Value(false));
-    err.set("error", Value(std::string(e.what())));
-    return common::json::dump(err, -1, common::json::NonFinite::Null);
+    return error_response(e.what());
   }
 }
 
 void serve_session(const StoreView& view, std::istream& in, std::ostream& out,
                    int n_threads) {
   std::string line;
-  while (std::getline(in, line)) {
+  for (;;) {
+    const LineRead read = read_line(in, line);
+    if (read == LineRead::End) return;
+    if (read == LineRead::TooLong) {
+      out << too_long_response() << '\n';
+      out.flush();
+      return;
+    }
     if (is_blank(line)) continue;
     out << handle_query(view, line, n_threads) << '\n';
     out.flush();
@@ -61,10 +98,22 @@ void serve_session(const StoreView& view, std::istream& in, std::ostream& out,
 
 namespace {
 
+/// Sends all of \p data; false when the peer is gone.
+bool send_all(int fd, const std::string& data) {
+  std::size_t sent = 0;
+  while (sent < data.size()) {
+    const ssize_t w = ::send(fd, data.data() + sent, data.size() - sent, 0);
+    if (w <= 0) return false;
+    sent += static_cast<std::size_t>(w);
+  }
+  return true;
+}
+
 /// Line-oriented session over a connected socket: same protocol as
 /// serve_session, on recv/send.
 void socket_session(const StoreView& view, int fd, int n_threads) {
   std::string pending;
+  std::size_t scanned = 0;  // bytes of pending already searched for '\n'
   char buf[4096];
   for (;;) {
     const ssize_t n = ::recv(fd, buf, sizeof buf, 0);
@@ -72,27 +121,26 @@ void socket_session(const StoreView& view, int fd, int n_threads) {
     pending.append(buf, static_cast<std::size_t>(n));
     std::size_t start = 0;
     for (;;) {
-      const std::size_t nl = pending.find('\n', start);
+      const std::size_t nl = pending.find('\n', std::max(start, scanned));
       if (nl == std::string::npos) break;
+      if (nl - start > kMaxRequestLine) break;
       std::string_view line(pending.data() + start, nl - start);
       if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
-      if (!is_blank(line)) {
-        std::string response = handle_query(view, line, n_threads);
-        response += '\n';
-        std::size_t sent = 0;
-        while (sent < response.size()) {
-          const ssize_t w = ::send(fd, response.data() + sent,
-                                   response.size() - sent, 0);
-          if (w <= 0) {
-            ::close(fd);
-            return;
-          }
-          sent += static_cast<std::size_t>(w);
-        }
+      if (!is_blank(line) &&
+          !send_all(fd, handle_query(view, line, n_threads) + '\n')) {
+        ::close(fd);
+        return;
       }
       start = nl + 1;
     }
     pending.erase(0, start);
+    scanned = pending.size();
+    // Whatever is left has no newline in its first kMaxRequestLine bytes
+    // (or the line just cut off above is over the limit).
+    if (pending.size() > kMaxRequestLine) {
+      send_all(fd, too_long_response() + '\n');
+      break;
+    }
   }
   ::close(fd);
 }

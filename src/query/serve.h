@@ -14,12 +14,17 @@
 /// logical store; concurrent clients querying one shared StoreView get
 /// byte-identical answers to byte-identical questions.
 ///
+/// A request line longer than kMaxRequestLine bytes is not read to its
+/// end: the session answers {"ok":false,...} and closes, so one client
+/// that never sends a newline cannot grow the server's memory.
+///
 /// The TCP server is deliberately small: blocking accept loop on
 /// 127.0.0.1, one thread per connection, no TLS, no backpressure — a lab
 /// results endpoint, not an internet-facing daemon.
 #pragma once
 
 #include <atomic>
+#include <cstddef>
 #include <iosfwd>
 #include <string>
 #include <string_view>
@@ -28,14 +33,19 @@
 
 namespace nbtisim::query {
 
+/// Longest request line a session reads [bytes], not counting the
+/// newline: far above any real query, which is well under a kilobyte.
+inline constexpr std::size_t kMaxRequestLine = std::size_t{1} << 20;
+
 /// Evaluates one request line against \p view. Never throws: errors come
 /// back as {"ok":false,...}. The response has no trailing newline.
 std::string handle_query(const StoreView& view, std::string_view line,
                          int n_threads);
 
 /// Runs one session: reads request lines from \p in until EOF, writing one
-/// response line each to \p out (blank request lines are skipped). Safe to
-/// run concurrently on one shared \p view.
+/// response line each to \p out (blank request lines are skipped), or
+/// until a line exceeds kMaxRequestLine. Safe to run concurrently on one
+/// shared \p view.
 void serve_session(const StoreView& view, std::istream& in, std::ostream& out,
                    int n_threads);
 

@@ -3,6 +3,7 @@
 #include <bit>
 #include <random>
 #include <stdexcept>
+#include <string>
 
 #include "common/pool.h"
 #include "common/rng.h"
@@ -160,8 +161,10 @@ SignalStats estimate_signal_stats(const netlist::Netlist& nl,
     throw std::invalid_argument("estimate_signal_stats: n_vectors < 1");
   }
   for (double sp : input_sp) {
-    if (sp < 0.0 || sp > 1.0) {
-      throw std::invalid_argument("estimate_signal_stats: SP outside [0,1]");
+    // NaN fails this check; it would otherwise be sampled as 0.
+    if (!(sp >= 0.0 && sp <= 1.0)) {
+      throw std::invalid_argument(
+          "estimate_signal_stats: SP outside [0,1], got " + std::to_string(sp));
     }
   }
 

@@ -1,8 +1,13 @@
 #include "tech/library.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <map>
+#include <mutex>
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "tech/stack.h"
 #include "tech/units.h"
@@ -20,7 +25,77 @@ int series_p(const Stage& st) {
   return st.kind == StageKind::Nor ? static_cast<int>(st.inputs.size()) : 1;
 }
 
+/// Library::cell_leakage of a validated key — also what a LeakageTable
+/// entry is filled with, so both are bitwise equal by construction.
+double characterize_leakage(const LibraryParams& params, const Cell& c,
+                            std::uint32_t input_bits, double temp_k,
+                            double vth_offset) {
+  const std::vector<bool> signals = c.signal_values(input_bits);
+  const double vdd = params.vdd;
+  double total = 0.0;
+
+  for (std::size_t s = 0; s < c.stages().size(); ++s) {
+    const Stage& st = c.stages()[s];
+    const bool out = signals[c.num_pins() + s];
+
+    // Subthreshold leakage through the non-conducting network.
+    if (st.kind == StageKind::Nor) {
+      if (out) {
+        // Output high: every NMOS is off, in parallel, with full Vds.
+        total += parallel_off_leakage(params.nmos, st.nmos_width,
+                                      static_cast<int>(st.inputs.size()), vdd,
+                                      temp_k, vth_offset);
+      } else {
+        // Output low: series PMOS stack from VDD; PMOS is on when gate = 0.
+        std::vector<StackDevice> stack;
+        for (int in : st.inputs) {
+          stack.push_back(StackDevice{st.pmos_width, !signals[in], vth_offset});
+        }
+        total += solve_stack(params.pmos, stack, vdd, vdd, temp_k).current;
+      }
+    } else {  // Inv / Nand: series NMOS pull-down, parallel PMOS pull-up.
+      if (out) {
+        // Output high: leakage through the (possibly mixed) NMOS stack.
+        std::vector<StackDevice> stack;
+        for (int in : st.inputs) {
+          stack.push_back(StackDevice{st.nmos_width, signals[in], vth_offset});
+        }
+        total += solve_stack(params.nmos, stack, vdd, vdd, temp_k).current;
+      } else {
+        // Output low: the off PMOS (gate = 1) leak in parallel, full Vds.
+        int n_off = 0;
+        for (int in : st.inputs) n_off += signals[in] ? 1 : 0;
+        total += parallel_off_leakage(params.pmos, st.pmos_width, n_off, vdd,
+                                      temp_k, vth_offset);
+      }
+    }
+
+    // Gate-oxide tunnelling of ON transistors (full Vox across the oxide).
+    for (int in : st.inputs) {
+      if (signals[in]) {
+        total += gate_leakage_current(params.nmos, st.nmos_width, vdd);
+      } else {
+        total += gate_leakage_current(params.pmos, st.pmos_width, vdd);
+      }
+    }
+  }
+  return total;
+}
+
+// The bit patterns of a LeakageTable entry not characterized yet, and of
+// one a thread is characterizing: NaNs whose payloads no arithmetic on
+// finite parameters produces.
+constexpr std::uint64_t kUnfilled = ~std::uint64_t{0};
+constexpr std::uint64_t kFilling = ~std::uint64_t{1};
+
 }  // namespace
+
+struct Library::LeakageMemo {
+  std::mutex mutex;
+  std::map<std::pair<std::uint64_t, std::uint64_t>,
+           std::shared_ptr<const LeakageTable>>
+      tables;
+};
 
 std::string_view gate_fn_name(GateFn fn) {
   switch (fn) {
@@ -36,27 +111,30 @@ std::string_view gate_fn_name(GateFn fn) {
   return "?";
 }
 
-Library::Library(LibraryParams params) : params_(params) {
+Library::Library(LibraryParams params)
+    : params_(params), leakage_memo_(std::make_shared<LeakageMemo>()) {
   const double wn = params_.wn;
   const double wp = params_.wp;
-  cells_.push_back(make_inverter(wn, wp));
-  cells_.push_back(make_buffer(wn, wp));
-  for (int k = 2; k <= 4; ++k) cells_.push_back(make_nand(k, wn, wp));
-  for (int k = 2; k <= 4; ++k) cells_.push_back(make_nor(k, wn, wp));
-  for (int k = 2; k <= 4; ++k) cells_.push_back(make_and(k, wn, wp));
-  for (int k = 2; k <= 4; ++k) cells_.push_back(make_or(k, wn, wp));
-  cells_.push_back(make_xor2(wn, wp));
-  cells_.push_back(make_xnor2(wn, wp));
+  std::vector<Cell> cells;
+  cells.push_back(make_inverter(wn, wp));
+  cells.push_back(make_buffer(wn, wp));
+  for (int k = 2; k <= 4; ++k) cells.push_back(make_nand(k, wn, wp));
+  for (int k = 2; k <= 4; ++k) cells.push_back(make_nor(k, wn, wp));
+  for (int k = 2; k <= 4; ++k) cells.push_back(make_and(k, wn, wp));
+  for (int k = 2; k <= 4; ++k) cells.push_back(make_or(k, wn, wp));
+  cells.push_back(make_xor2(wn, wp));
+  cells.push_back(make_xnor2(wn, wp));
+  cells_ = std::make_shared<const std::vector<Cell>>(std::move(cells));
 }
 
 const Cell& Library::cell(CellId id) const {
   if (id < 0 || id >= num_cells()) throw std::out_of_range("Library::cell: bad id");
-  return cells_[id];
+  return (*cells_)[id];
 }
 
 CellId Library::find(std::string_view name) const {
   for (int i = 0; i < num_cells(); ++i) {
-    if (cells_[i].name() == name) return i;
+    if ((*cells_)[i].name() == name) return i;
   }
   throw std::out_of_range("Library::find: no cell named " + std::string(name));
 }
@@ -118,56 +196,20 @@ double Library::cell_leakage(CellId id, std::uint32_t input_bits,
   if (input_bits >= (1u << c.num_pins())) {
     throw std::out_of_range("cell_leakage: vector out of range");
   }
-  const std::vector<bool> signals = c.signal_values(input_bits);
-  const double vdd = params_.vdd;
-  double total = 0.0;
+  return characterize_leakage(params_, c, input_bits, temp_k, vth_offset);
+}
 
-  for (std::size_t s = 0; s < c.stages().size(); ++s) {
-    const Stage& st = c.stages()[s];
-    const bool out = signals[c.num_pins() + s];
-
-    // Subthreshold leakage through the non-conducting network.
-    if (st.kind == StageKind::Nor) {
-      if (out) {
-        // Output high: every NMOS is off, in parallel, with full Vds.
-        total += parallel_off_leakage(params_.nmos, st.nmos_width,
-                                      static_cast<int>(st.inputs.size()), vdd,
-                                      temp_k, vth_offset);
-      } else {
-        // Output low: series PMOS stack from VDD; PMOS is on when gate = 0.
-        std::vector<StackDevice> stack;
-        for (int in : st.inputs) {
-          stack.push_back(StackDevice{st.pmos_width, !signals[in], vth_offset});
-        }
-        total += solve_stack(params_.pmos, stack, vdd, vdd, temp_k).current;
-      }
-    } else {  // Inv / Nand: series NMOS pull-down, parallel PMOS pull-up.
-      if (out) {
-        // Output high: leakage through the (possibly mixed) NMOS stack.
-        std::vector<StackDevice> stack;
-        for (int in : st.inputs) {
-          stack.push_back(StackDevice{st.nmos_width, signals[in], vth_offset});
-        }
-        total += solve_stack(params_.nmos, stack, vdd, vdd, temp_k).current;
-      } else {
-        // Output low: the off PMOS (gate = 1) leak in parallel, full Vds.
-        int n_off = 0;
-        for (int in : st.inputs) n_off += signals[in] ? 1 : 0;
-        total += parallel_off_leakage(params_.pmos, st.pmos_width, n_off, vdd,
-                                      temp_k, vth_offset);
-      }
-    }
-
-    // Gate-oxide tunnelling of ON transistors (full Vox across the oxide).
-    for (int in : st.inputs) {
-      if (signals[in]) {
-        total += gate_leakage_current(params_.nmos, st.nmos_width, vdd);
-      } else {
-        total += gate_leakage_current(params_.pmos, st.pmos_width, vdd);
-      }
-    }
-  }
-  return total;
+std::shared_ptr<const LeakageTable> Library::leakage_table(
+    double temp_k, double vth_offset) const {
+  const std::pair key{std::bit_cast<std::uint64_t>(temp_k),
+                      std::bit_cast<std::uint64_t>(vth_offset)};
+  std::lock_guard<std::mutex> lock(leakage_memo_->mutex);
+  const auto it = leakage_memo_->tables.find(key);
+  if (it != leakage_memo_->tables.end()) return it->second;
+  // Cheap under the lock: entries are characterized later, on first read.
+  auto table = std::make_shared<const LeakageTable>(*this, temp_k, vth_offset);
+  leakage_memo_->tables.emplace(key, table);
+  return table;
 }
 
 double Library::cell_delay(CellId id, double c_load, double temp_k,
@@ -328,43 +370,100 @@ Library::Unateness Library::unateness(CellId id) const {
 
 LeakageTable::LeakageTable(const Library& lib, double temp_k,
                            double vth_offset)
-    : temp_k_(temp_k), vth_offset_(vth_offset) {
-  table_.resize(lib.num_cells());
-  for (CellId id = 0; id < lib.num_cells(); ++id) {
-    const int pins = lib.cell(id).num_pins();
-    table_[id].resize(1u << pins);
-    for (std::uint32_t v = 0; v < (1u << pins); ++v) {
-      table_[id][v] = lib.cell_leakage(id, v, temp_k, vth_offset);
-    }
+    : params_(lib.params_), cells_(lib.cells_), temp_k_(temp_k),
+      vth_offset_(vth_offset) {
+  // Written so that NaN fails: the pair is a key of the library's memo.
+  if (!(temp_k > 0.0 && std::isfinite(temp_k))) {
+    throw std::invalid_argument(
+        "LeakageTable: temperature must be finite and positive, got " +
+        std::to_string(temp_k) + " K");
+  }
+  if (!std::isfinite(vth_offset)) {
+    throw std::invalid_argument("LeakageTable: non-finite Vth offset " +
+                                std::to_string(vth_offset));
+  }
+  row_begin_.reserve(cells_->size() + 1);
+  row_begin_.push_back(0);
+  for (const Cell& c : *cells_) {
+    row_begin_.push_back(row_begin_.back() + (std::size_t{1} << c.num_pins()));
+  }
+  entries_ = std::make_unique<std::atomic<std::uint64_t>[]>(row_begin_.back());
+  for (std::size_t i = 0; i < row_begin_.back(); ++i) {
+    entries_[i].store(kUnfilled, std::memory_order_relaxed);
   }
 }
 
+std::uint32_t LeakageTable::row_size(CellId cell) const {
+  if (cell < 0 || cell >= static_cast<int>(cells_->size())) {
+    throw std::out_of_range("LeakageTable: bad cell id");
+  }
+  return static_cast<std::uint32_t>(row_begin_[cell + 1] - row_begin_[cell]);
+}
+
+double LeakageTable::entry(CellId cell, std::uint32_t input_bits) const {
+  std::atomic<std::uint64_t>& slot = entries_[row_begin_[cell] + input_bits];
+  std::uint64_t bits = slot.load(std::memory_order_acquire);
+  while (bits == kUnfilled || bits == kFilling) {
+    if (bits == kFilling) {
+      // Another thread is characterizing this entry: wait for its bits
+      // rather than compute them a second time.
+      slot.wait(kFilling, std::memory_order_acquire);
+      bits = slot.load(std::memory_order_acquire);
+    } else if (slot.compare_exchange_weak(bits, kFilling,
+                                          std::memory_order_acquire)) {
+      try {
+        bits = std::bit_cast<std::uint64_t>(characterize_leakage(
+            params_, (*cells_)[cell], input_bits, temp_k_, vth_offset_));
+      } catch (...) {
+        slot.store(kUnfilled, std::memory_order_release);
+        slot.notify_all();
+        throw;
+      }
+      slot.store(bits, std::memory_order_release);
+      slot.notify_all();
+    }
+  }
+  return std::bit_cast<double>(bits);
+}
+
 double LeakageTable::leakage(CellId cell, std::uint32_t input_bits) const {
-  return table_.at(cell).at(input_bits);
+  if (input_bits >= row_size(cell)) {
+    throw std::out_of_range("LeakageTable: vector out of range");
+  }
+  return entry(cell, input_bits);
 }
 
 double LeakageTable::expected_leakage(CellId cell,
                                       std::span<const double> pin_sp) const {
-  const std::vector<double>& row = table_.at(cell);
+  const std::uint32_t rows = row_size(cell);
   const std::size_t n = pin_sp.size();
-  if (row.size() != (1u << n)) {
+  if (rows != (1u << n)) {
     throw std::invalid_argument("expected_leakage: pin count mismatch");
   }
   double sum = 0.0;
-  for (std::uint32_t v = 0; v < row.size(); ++v) {
+  for (std::uint32_t v = 0; v < rows; ++v) {
     double prob = 1.0;
     for (std::size_t i = 0; i < n; ++i) {
       prob *= ((v >> i) & 1u) ? pin_sp[i] : (1.0 - pin_sp[i]);
     }
-    sum += prob * row[v];
+    sum += prob * entry(cell, v);
   }
   return sum;
 }
 
 std::uint32_t LeakageTable::min_leakage_vector(CellId cell) const {
-  const std::vector<double>& row = table_.at(cell);
-  return static_cast<std::uint32_t>(
-      std::min_element(row.begin(), row.end()) - row.begin());
+  const std::uint32_t rows = row_size(cell);
+  std::uint32_t best = 0;
+  for (std::uint32_t v = 1; v < rows; ++v) {
+    if (entry(cell, v) < entry(cell, best)) best = v;
+  }
+  return best;
+}
+
+void LeakageTable::characterize_all() const {
+  for (CellId cell = 0; cell < static_cast<int>(cells_->size()); ++cell) {
+    for (std::uint32_t v = 0; v < row_size(cell); ++v) entry(cell, v);
+  }
 }
 
 }  // namespace nbtisim::tech

@@ -13,7 +13,10 @@
 ///   - pin capacitances for load computation.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
+#include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -46,13 +49,21 @@ struct LibraryParams {
                                      ///< the driving stage's own gate cap
 };
 
+class LeakageTable;
+
 /// A characterized standard-cell library.
+///
+/// Owns one memo: the leakage tables handed out by leakage_table(), one per
+/// (temperature, Vth offset) key, created on first request and kept until
+/// the last copy of the library is gone — copies share the memo, and the
+/// tables stay valid for as long as a caller holds them.  No cap: a table is
+/// about 1 KB, and a run meets a few dozen keys.
 class Library {
  public:
   explicit Library(LibraryParams params = {});
 
   const LibraryParams& params() const { return params_; }
-  int num_cells() const { return static_cast<int>(cells_.size()); }
+  int num_cells() const { return static_cast<int>(cells_->size()); }
   const Cell& cell(CellId id) const;
 
   /// Finds a cell by name ("NAND2", "INV", ...).
@@ -76,6 +87,14 @@ class Library {
   ///        high-Vth cell variant of a dual-Vth flow [V]
   double cell_leakage(CellId id, std::uint32_t input_bits, double temp_k,
                       double vth_offset = 0.0) const;
+
+  /// The shared lazily filled leakage table at \p temp_k with every
+  /// transistor shifted by \p vth_offset, keyed on the bit patterns of
+  /// both.  Thread-safe: concurrent first requests for one key create one
+  /// table.
+  /// \throws std::invalid_argument as LeakageTable's constructor
+  std::shared_ptr<const LeakageTable> leakage_table(
+      double temp_k, double vth_offset = 0.0) const;
 
   /// Pin-to-output propagation delay [s] driving \p c_load farad, with an
   /// optional NBTI threshold shift \p pmos_dvth applied to every PMOS.
@@ -117,23 +136,38 @@ class Library {
   Unateness unateness(CellId id) const;
 
  private:
+  friend class LeakageTable;
+  struct LeakageMemo;
+
   LibraryParams params_;
-  std::vector<Cell> cells_;
+  std::shared_ptr<const std::vector<Cell>> cells_;  // shared with tables
+  std::shared_ptr<LeakageMemo> leakage_memo_;
 };
 
 /// Dense per-vector leakage lookup table for a library at one temperature —
 /// the "leakage lookup tables" input of the paper's Fig. 6 flow (eq. 24).
+///
+/// Entries are characterized lazily, on first read, each into its own
+/// atomic slot: a table costs nothing until it is used and then only the
+/// (cell, vector) entries a caller reads.  Reads are safe from any number
+/// of threads, and each entry is characterized once: a thread that reads
+/// an entry another thread is filling waits for its bits, so a table's cost
+/// does not depend on how its readers overlap.  Every entry is bitwise
+/// Library::cell_leakage of its key.  The table keeps its own share of the
+/// library's cells, so it may outlive the library.
 class LeakageTable {
  public:
   /// \param vth_offset builds the table for a Vth-shifted (e.g. high-Vth)
   ///        variant of every cell
-  explicit LeakageTable(const Library& lib, double temp_k,
-                        double vth_offset = 0.0);
+  /// \throws std::invalid_argument for a temperature that is not finite and
+  ///         positive, or a non-finite offset
+  LeakageTable(const Library& lib, double temp_k, double vth_offset = 0.0);
 
   double temperature() const { return temp_k_; }
   double vth_offset() const { return vth_offset_; }
 
   /// Leakage of \p cell under packed \p input_bits [A].
+  /// \throws std::out_of_range for a bad cell or vector
   double leakage(CellId cell, std::uint32_t input_bits) const;
 
   /// Expected leakage of a cell whose pins are independent with the given
@@ -143,10 +177,24 @@ class LeakageTable {
   /// Input vector with minimum leakage for one cell (lowest index on ties).
   std::uint32_t min_leakage_vector(CellId cell) const;
 
+  /// Characterizes every entry not filled yet — the full cost of a table.
+  void characterize_all() const;
+
  private:
+  /// Number of input vectors of \p cell (its row length).
+  /// \throws std::out_of_range for a bad cell
+  std::uint32_t row_size(CellId cell) const;
+  /// The entry of a validated (cell, vector) key, characterized on demand.
+  double entry(CellId cell, std::uint32_t input_bits) const;
+
+  LibraryParams params_;
+  std::shared_ptr<const std::vector<Cell>> cells_;
   double temp_k_;
   double vth_offset_;
-  std::vector<std::vector<double>> table_;  // [cell][vector]
+  std::vector<std::size_t> row_begin_;  // [cell], plus the total at the end
+  /// Entry bit patterns; kUnfilled until characterized, kFilling while a
+  /// thread characterizes it.
+  std::unique_ptr<std::atomic<std::uint64_t>[]> entries_;
 };
 
 }  // namespace nbtisim::tech

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 #include "common/pool.h"
 
@@ -12,15 +13,28 @@ OperatingPoint solve_operating_point(const netlist::Netlist& nl,
                                      const RcThermalModel& model,
                                      const std::vector<bool>& standby_vector,
                                      const ElectrothermalParams& params) {
-  if (params.replication <= 0.0 || params.supply_v <= 0.0 ||
-      params.tolerance_k <= 0.0 || params.max_iterations < 1 ||
-      params.runaway_temp_k <= 0.0) {
-    throw std::invalid_argument("solve_operating_point: bad parameters");
-  }
+  // Written so that NaN fails: a NaN replication or power would otherwise
+  // run the fixpoint into a reported runaway.
+  const auto require = [](bool ok, const char* name, double value) {
+    if (!ok) {
+      throw std::invalid_argument(std::string("solve_operating_point: bad ") +
+                                  name + " " + std::to_string(value));
+    }
+  };
+  const auto positive = [](double x) { return x > 0.0 && std::isfinite(x); };
+  require(positive(params.replication), "replication", params.replication);
+  require(positive(params.supply_v), "supply_v", params.supply_v);
+  require(positive(params.tolerance_k), "tolerance_k", params.tolerance_k);
+  require(positive(params.runaway_temp_k), "runaway_temp_k",
+          params.runaway_temp_k);
+  require(std::isfinite(params.dynamic_power_w), "dynamic_power_w",
+          params.dynamic_power_w);
+  require(params.max_iterations >= 1, "max_iterations",
+          params.max_iterations);
 
   auto leakage_watts = [&](double temp_k) {
-    // Characterizing a LeakageTable per iterate is the dominant cost; the
-    // fixpoint needs only a handful of iterations.
+    // The table at temp_k comes from the library's memo: iterates (and
+    // other solves) at a temperature already met reuse its entries.
     const leakage::LeakageAnalyzer analyzer(nl, lib, temp_k);
     return analyzer.circuit_leakage(standby_vector) * params.supply_v *
            params.replication;
@@ -44,8 +58,8 @@ OperatingPoint solve_operating_point(const netlist::Netlist& nl,
     }
     if (std::abs(next - temp) < params.tolerance_k) {
       // p_leak was characterized at temp, which agrees with next within
-      // tolerance_k — re-characterizing a whole LeakageTable at next would
-      // double the cost of the final iteration for a sub-tolerance delta.
+      // tolerance_k — characterizing a table at next would add a final
+      // iteration for a sub-tolerance delta.
       op.temperature_k = next;
       op.leakage_w = p_leak;
       op.converged = true;

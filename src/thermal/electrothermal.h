@@ -43,7 +43,9 @@ struct OperatingPoint {
 
 /// Solves the electrothermal fixpoint for the circuit behind \p nl under a
 /// static input vector \p standby_vector (the leakage state).
-/// \throws std::invalid_argument for non-positive replication or supply
+/// \throws std::invalid_argument for a replication, supply, tolerance or
+///         runaway limit that is not finite and positive, a non-finite
+///         dynamic power, or max_iterations < 1
 OperatingPoint solve_operating_point(const netlist::Netlist& nl,
                                      const tech::Library& lib,
                                      const RcThermalModel& model,

@@ -3,11 +3,11 @@
 ///
 /// Each function here recomputes a result the slow, obvious way — one-shot
 /// per-device ΔVth calls per gate, full delay rebuild + full STA per sizing
-/// trial, a fresh analyze() per derate cell, a serial loop per
-/// electrothermal sweep — and serves as the oracle that
-/// tests/test_differential.cpp property-tests the optimized engines against
-/// across random netlists, seeds, thread counts and horizons.  Keep them
-/// boring: no caching, no incremental updates, no parallelism.  The one
+/// trial, a fresh analyze() per derate cell, every gate's leakage
+/// characterized afresh at every electrothermal iterate — and serves as the
+/// oracle that tests/test_differential.cpp property-tests the optimized
+/// engines against across random netlists, seeds, thread counts and
+/// horizons.  Keep them boring: no caching, no incremental updates, no parallelism.  The one
 /// deliberate sophistication is FP discipline — every accumulation mirrors
 /// the production expression order, so the comparisons can demand bitwise
 /// equality instead of tolerances.
@@ -29,6 +29,7 @@
 #include "opt/sizing.h"
 #include "report/derate.h"
 #include "report/report.h"
+#include "sim/simulator.h"
 #include "tech/units.h"
 #include "thermal/electrothermal.h"
 
@@ -408,7 +409,53 @@ inline aging::FailureReport reference_failure_report(
   return rep;
 }
 
-/// Serial electrothermal sweep: one solve_operating_point per power.
+/// Electrothermal fixpoint of solve_operating_point, with the leakage at
+/// every iterate characterized afresh: a simulation of the standby vector
+/// and Library::cell_leakage per gate, summed in gate order — no lookup
+/// table, no memo.
+inline thermal::OperatingPoint reference_operating_point(
+    const netlist::Netlist& nl, const tech::Library& lib,
+    const thermal::RcThermalModel& model,
+    const std::vector<bool>& standby_vector,
+    const thermal::ElectrothermalParams& params) {
+  const auto leakage_watts = [&](double temp_k) {
+    const std::vector<bool> value = sim::Simulator(nl).evaluate(standby_vector);
+    double total = 0.0;
+    for (const netlist::Gate& g : nl.gates()) {
+      std::uint32_t bits = 0;
+      for (std::size_t pin = 0; pin < g.fanins.size(); ++pin) {
+        bits |= value[g.fanins[pin]] ? (1u << pin) : 0u;
+      }
+      total += lib.cell_leakage(
+          lib.id_for(g.fn, static_cast<int>(g.fanins.size())), bits, temp_k);
+    }
+    return total * params.supply_v * params.replication;
+  };
+  thermal::OperatingPoint op;
+  double temp = model.steady_state(params.dynamic_power_w);
+  for (int it = 0; it < params.max_iterations; ++it) {
+    op.iterations = it + 1;
+    const double p_leak = leakage_watts(temp);
+    const double next = model.steady_state(params.dynamic_power_w + p_leak);
+    if (!std::isfinite(next) || next > params.runaway_temp_k) {
+      op.temperature_k = next;
+      op.leakage_w = p_leak;
+      return op;
+    }
+    if (std::abs(next - temp) < params.tolerance_k) {
+      op.temperature_k = next;
+      op.leakage_w = p_leak;
+      op.converged = true;
+      return op;
+    }
+    temp = next;
+  }
+  op.temperature_k = temp;
+  op.leakage_w = leakage_watts(temp);
+  return op;
+}
+
+/// Serial electrothermal sweep: one reference_operating_point per power.
 inline std::vector<thermal::OperatingPoint> reference_operating_points(
     const netlist::Netlist& nl, const tech::Library& lib,
     const thermal::RcThermalModel& model,
@@ -421,7 +468,7 @@ inline std::vector<thermal::OperatingPoint> reference_operating_points(
     thermal::ElectrothermalParams cell = params;
     cell.dynamic_power_w = p;
     points.push_back(
-        thermal::solve_operating_point(nl, lib, model, standby_vector, cell));
+        reference_operating_point(nl, lib, model, standby_vector, cell));
   }
   return points;
 }

@@ -159,5 +159,15 @@ TEST_P(QuarterPowerSweep, LongRunQuarterPowerScaling) {
 INSTANTIATE_TEST_SUITE_P(Duties, QuarterPowerSweep,
                          ::testing::Values(0.05, 0.2, 0.5, 0.8, 0.95, 1.0));
 
+TEST_F(AcModelTest, RejectsNanDuty) {
+  // A NaN duty used to run the recursion to S = NaN; it would now become a
+  // key of the analyzer's duty memo.
+  const double nan = std::nan("");
+  EXPECT_THROW(make_sn_prefix(nan), std::invalid_argument);
+  EXPECT_THROW(ac_beta(nan), std::invalid_argument);
+  EXPECT_THROW(sn_closed(nan, 1e6), std::invalid_argument);
+  EXPECT_THROW(sn_exact(nan, 10), std::invalid_argument);
+}
+
 }  // namespace
 }  // namespace nbtisim::nbti

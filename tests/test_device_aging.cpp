@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "tech/units.h"
 
 namespace nbtisim::nbti {
@@ -196,6 +198,36 @@ TEST_P(RasTempSweep, MonotoneInStandbyTemperature) {
 
 INSTANTIATE_TEST_SUITE_P(RasSplits, RasTempSweep,
                          ::testing::Values(1.0, 3.0, 5.0, 7.0, 9.0));
+
+TEST_F(DeviceAgingTest, MakeContextRejectsNanStressProbability) {
+  // Used to return a context whose delta_vth was a silent 0.
+  DeviceStress bad = worst_;
+  bad.active_stress_prob = std::nan("");
+  EXPECT_THROW(model_.make_context(bad, ras(9, 330.0)), std::invalid_argument);
+}
+
+TEST_F(DeviceAgingTest, PrefixOverloadMatchesOracleContext) {
+  const ModeSchedule s = ras(9, 330.0);
+  for (const DeviceStress& stress :
+       {worst_, DeviceStress{0.2, StandbyMode::Relaxed, 1.0, 0.25},
+        DeviceStress{0.0, StandbyMode::Relaxed, 1.0, 0.22}}) {
+    const double duty = model_.equivalent_duty(stress, s);
+    const DeviceAging::StressContext want = model_.make_context(stress, s);
+    const DeviceAging::StressContext got =
+        model_.make_context(stress, s, make_sn_prefix(duty));
+    EXPECT_EQ(got.always_zero, want.always_zero);
+    EXPECT_EQ(got.ac.duty, want.ac.duty);
+    EXPECT_EQ(got.prefix.duty, want.prefix.duty);
+    EXPECT_EQ(got.prefix.s, want.prefix.s);
+    EXPECT_EQ(got.prefix.step, want.prefix.step);
+    EXPECT_EQ(got.kv, want.kv);
+    for (double t : {1.0e3, 1.0e6, 3.0e8}) {
+      EXPECT_EQ(model_.delta_vth(got, t), model_.delta_vth(want, t)) << t;
+    }
+  }
+  EXPECT_THROW(model_.make_context(worst_, s, make_sn_prefix(0.5)),
+               std::invalid_argument);
+}
 
 }  // namespace
 }  // namespace nbtisim::nbti

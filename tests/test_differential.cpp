@@ -7,9 +7,12 @@
 // exact (double ==): the optimized paths are bit-identical to brute force by
 // construction, and these tests are what enforce that contract.
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
+#include <memory>
 #include <random>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -331,6 +334,213 @@ TEST(DifferentialTest, RdKernelMatchesScalarDeviceModelAcrossRandomContexts) {
     }
   }
   EXPECT_GE(checked, 100);
+}
+
+// --- The two memos: duty -> S_n prefix, and the shared leakage tables ------
+
+// More distinct policies than AgingAnalyzer keeps descriptors for (16), so
+// a second pass over them rebuilds every policy from a warm duty memo.
+// Rotating members add fractional standby duties the bounding policies
+// never produce, so the memo also grows after it was first published.
+std::vector<aging::StandbyPolicy> memo_policies(int n_inputs) {
+  std::mt19937_64 rng(77);
+  const auto random_vector = [&] {
+    std::vector<bool> v(n_inputs);
+    for (std::size_t i = 0; i < v.size(); ++i) v[i] = (rng() & 1u) != 0;
+    return v;
+  };
+  std::vector<aging::StandbyPolicy> policies = {
+      aging::StandbyPolicy::all_stressed(),
+      aging::StandbyPolicy::all_relaxed()};
+  for (int k = 0; k < 14; ++k) {
+    policies.push_back(aging::StandbyPolicy::from_vector(random_vector()));
+  }
+  for (int k = 2; k <= 4; ++k) {
+    std::vector<std::vector<bool>> rotation;
+    for (int r = 0; r < k; ++r) rotation.push_back(random_vector());
+    policies.push_back(aging::StandbyPolicy::rotating(std::move(rotation)));
+  }
+  return policies;
+}
+
+TEST(DifferentialTest, DutyMemoMatchesOracleThroughEvictionAndInvalidation) {
+  const tech::Library lib;
+  const netlist::Netlist nl = netlist::iscas85_like("c432");
+  const std::vector<aging::StandbyPolicy> policies =
+      memo_policies(nl.num_inputs());
+  ASSERT_GE(policies.size(), 17u);
+  const double horizon = 3.0e8;
+
+  std::vector<std::vector<double>> want;
+  {
+    const aging::AgingAnalyzer oracle_an(nl, lib, fast_conditions());
+    for (const aging::StandbyPolicy& p : policies) {
+      want.push_back(testsupport::reference_gate_dvth(oracle_an, p, horizon));
+    }
+  }
+  const auto bits = [](const std::vector<double>& v) {
+    std::vector<std::uint64_t> out;
+    for (double x : v) out.push_back(std::bit_cast<std::uint64_t>(x));
+    return out;
+  };
+
+  for (int n_threads : {1, 4, 8}) {
+    aging::AgingConditions cond = fast_conditions();
+    cond.n_threads = n_threads;
+    const aging::AgingAnalyzer an(nl, lib, cond);
+    // Pass 0 builds with a cold memo, pass 1 rebuilds every evicted policy
+    // from the warm memo, pass 2 runs after invalidate_stress_cache().
+    for (int pass = 0; pass < 3; ++pass) {
+      if (pass == 2) an.invalidate_stress_cache();
+      for (std::size_t i = 0; i < policies.size(); ++i) {
+        SCOPED_TRACE(::testing::Message() << "n_threads=" << n_threads
+                                          << " pass=" << pass << " policy=" << i);
+        ASSERT_EQ(bits(an.gate_dvth(policies[i], horizon)), bits(want[i]));
+      }
+      EXPECT_EQ(an.stress_build_count(), (pass + 1) * policies.size());
+    }
+  }
+}
+
+TEST(DifferentialTest, DutyMemoConcurrentBuildsMatchOracle) {
+  // Several callers build descriptors on one analyzer at once while another
+  // drops its caches: each build reads its own memo snapshot, so every
+  // answer is still the oracle's.
+  const tech::Library lib;
+  const netlist::Netlist nl = netlist::iscas85_like("c432");
+  const std::vector<aging::StandbyPolicy> policies =
+      memo_policies(nl.num_inputs());
+  aging::AgingConditions cond = fast_conditions();
+  cond.n_threads = 2;
+  const aging::AgingAnalyzer an(nl, lib, cond);
+  std::vector<std::vector<double>> want;
+  for (const aging::StandbyPolicy& p : policies) {
+    want.push_back(testsupport::reference_gate_dvth(an, p, cond.total_time));
+  }
+
+  constexpr int kCallers = 4;
+  std::vector<int> mismatches(kCallers, 0);
+  std::vector<std::thread> callers;
+  for (int c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&, c] {
+      for (std::size_t k = 0; k < policies.size(); ++k) {
+        const std::size_t i = (k * 7 + static_cast<std::size_t>(c) * 5) %
+                              policies.size();
+        if (c == 0 && k % 6 == 5) an.invalidate_stress_cache();
+        if (an.gate_dvth(policies[i]) != want[i]) ++mismatches[c];
+      }
+    });
+  }
+  for (std::thread& t : callers) t.join();
+  for (int c = 0; c < kCallers; ++c) EXPECT_EQ(mismatches[c], 0) << c;
+}
+
+TEST(DifferentialTest, LazyLeakageTableMatchesCellLeakageAcrossThreads) {
+  const tech::Library lib;
+  const double temp = 371.5;
+  const std::shared_ptr<const tech::LeakageTable> table =
+      lib.leakage_table(temp);
+  // Oracle, from Library::cell_leakage alone.
+  std::vector<std::vector<double>> direct(lib.num_cells());
+  for (tech::CellId c = 0; c < lib.num_cells(); ++c) {
+    for (std::uint32_t v = 0; v < (1u << lib.cell(c).num_pins()); ++v) {
+      direct[c].push_back(lib.cell_leakage(c, v, temp));
+    }
+  }
+  const auto pin_sp = [](int pins, int salt) {
+    std::vector<double> sp;
+    for (int i = 0; i < pins; ++i) sp.push_back(0.1 + 0.2 * ((i + salt) % 5));
+    return sp;
+  };
+
+  constexpr int kThreads = 8;
+  std::vector<int> mismatches(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      // Every thread asks the memo for the table and walks the cells in its
+      // own order, mixing all three readers so threads meet on entries
+      // another thread is filling.
+      if (lib.leakage_table(temp) != table) ++mismatches[t];
+      for (int k = 0; k < lib.num_cells(); ++k) {
+        const tech::CellId c = (k * 5 + t * 3) % lib.num_cells();
+        const int pins = lib.cell(c).num_pins();
+        const std::vector<double> sp = pin_sp(pins, t);
+        double want_expected = 0.0;
+        std::uint32_t want_min = 0;
+        for (std::uint32_t v = 0; v < direct[c].size(); ++v) {
+          double prob = 1.0;
+          for (int i = 0; i < pins; ++i) {
+            prob *= ((v >> i) & 1u) ? sp[i] : (1.0 - sp[i]);
+          }
+          want_expected += prob * direct[c][v];
+          if (direct[c][v] < direct[c][want_min]) want_min = v;
+        }
+        if (t % 2 == 0 &&
+            std::bit_cast<std::uint64_t>(table->expected_leakage(c, sp)) !=
+                std::bit_cast<std::uint64_t>(want_expected)) {
+          ++mismatches[t];
+        }
+        if (t % 3 == 0 && table->min_leakage_vector(c) != want_min) {
+          ++mismatches[t];
+        }
+        for (std::uint32_t v = 0; v < direct[c].size(); ++v) {
+          const std::uint32_t w = (v + static_cast<std::uint32_t>(t)) %
+                                  static_cast<std::uint32_t>(direct[c].size());
+          if (std::bit_cast<std::uint64_t>(table->leakage(c, w)) !=
+              std::bit_cast<std::uint64_t>(direct[c][w])) {
+            ++mismatches[t];
+          }
+        }
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  for (int t = 0; t < kThreads; ++t) EXPECT_EQ(mismatches[t], 0) << t;
+}
+
+TEST(DifferentialTest, CachedLeakageOperatingPointMatchesFreshCharacterization) {
+  // One library serves every solve, so later solves (and the parallel
+  // sweep's fan-out) read tables filled by earlier ones; the oracle
+  // characterizes every gate afresh at every iterate.
+  const tech::Library lib;
+  const netlist::Netlist nl = random_dag(12, 90, 31);
+  const thermal::RcThermalModel model;
+  const std::vector<bool> zeros(nl.num_inputs(), false);
+  const std::vector<double> powers = {20.0, 60.0, 60.0, 100.0};
+  const thermal::ElectrothermalParams params{.replication = 1e5};
+  const std::vector<thermal::OperatingPoint> want =
+      testsupport::reference_operating_points(nl, lib, model, zeros, powers,
+                                              params);
+  const auto same = [](const thermal::OperatingPoint& a,
+                       const thermal::OperatingPoint& b) {
+    return std::bit_cast<std::uint64_t>(a.temperature_k) ==
+               std::bit_cast<std::uint64_t>(b.temperature_k) &&
+           std::bit_cast<std::uint64_t>(a.leakage_w) ==
+               std::bit_cast<std::uint64_t>(b.leakage_w) &&
+           a.iterations == b.iterations && a.converged == b.converged;
+  };
+  for (int round = 0; round < 2; ++round) {
+    for (std::size_t i = 0; i < powers.size(); ++i) {
+      thermal::ElectrothermalParams cell = params;
+      cell.dynamic_power_w = powers[i];
+      EXPECT_TRUE(same(thermal::solve_operating_point(nl, lib, model, zeros,
+                                                      cell),
+                       want[i]))
+          << "round " << round << " power " << powers[i];
+    }
+  }
+  for (int n_threads : {1, 4, 8}) {
+    const tech::Library fresh;  // cold memo for every thread count
+    const std::vector<thermal::OperatingPoint> got =
+        thermal::solve_operating_points(nl, fresh, model, zeros, powers,
+                                        params, n_threads);
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      EXPECT_TRUE(same(got[i], want[i]))
+          << "n_threads " << n_threads << " power " << powers[i];
+    }
+  }
 }
 
 }  // namespace

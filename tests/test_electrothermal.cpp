@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "netlist/generators.h"
 
 namespace nbtisim::thermal {
@@ -175,6 +177,20 @@ TEST_F(ElectrothermalTest, RejectsBadParameters) {
                std::invalid_argument);
   EXPECT_THROW(solve_operating_point(c432_, lib_, model_, zeros_,
                                      {.runaway_temp_k = 0.0}),
+               std::invalid_argument);
+}
+
+TEST_F(ElectrothermalTest, RejectsNanParameters) {
+  // Used to iterate to a reported runaway instead of failing.
+  const double nan = std::nan("");
+  EXPECT_THROW(solve_operating_point(c432_, lib_, model_, zeros_,
+                                     {.replication = nan}),
+               std::invalid_argument);
+  EXPECT_THROW(solve_operating_point(c432_, lib_, model_, zeros_,
+                                     {.dynamic_power_w = nan}),
+               std::invalid_argument);
+  EXPECT_THROW(solve_operating_point(c432_, lib_, model_, zeros_,
+                                     {.tolerance_k = nan}),
                std::invalid_argument);
 }
 

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <random>
 
 #include "netlist/generators.h"
@@ -111,6 +112,13 @@ TEST_F(LeakageTest, WrongPiCountRejected) {
   const Netlist nl = netlist::make_parity_tree("p", 4);
   const LeakageAnalyzer an(nl, lib_, 400.0);
   EXPECT_THROW(an.circuit_leakage(std::vector<bool>(5)), std::invalid_argument);
+}
+
+TEST_F(LeakageTest, RejectsNonFiniteOrNonPositiveTemperature) {
+  const Netlist nl = netlist::iscas85_like("c432");
+  for (double t : {std::nan(""), 0.0, -1.0}) {
+    EXPECT_THROW(LeakageAnalyzer(nl, lib_, t), std::invalid_argument) << t;
+  }
 }
 
 }  // namespace

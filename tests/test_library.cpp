@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <memory>
+
 #include "tech/units.h"
 
 namespace nbtisim::tech {
@@ -166,6 +169,34 @@ INSTANTIATE_TEST_SUITE_P(Cells, LibraryLeakageSweep,
                          ::testing::Values("INV", "NAND2", "NAND4", "NOR2",
                                            "NOR4", "AND3", "OR3", "XOR2",
                                            "XNOR2", "BUF"));
+
+TEST_F(LibraryTest, LeakageTableRejectsBadTemperatureOrOffset) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (double t : {nan, inf, 0.0, -300.0}) {
+    EXPECT_THROW(LeakageTable(lib_, t), std::invalid_argument) << t;
+    EXPECT_THROW(lib_.leakage_table(t), std::invalid_argument) << t;
+  }
+  EXPECT_THROW(LeakageTable(lib_, 330.0, nan), std::invalid_argument);
+  EXPECT_THROW(lib_.leakage_table(330.0, inf), std::invalid_argument);
+}
+
+TEST_F(LibraryTest, LeakageMemoIsSharedByCopiesAndOutlivesThem) {
+  std::shared_ptr<const LeakageTable> kept;
+  {
+    const Library copy = lib_;
+    kept = copy.leakage_table(350.0);
+    EXPECT_EQ(lib_.leakage_table(350.0), kept);
+    EXPECT_NE(lib_.leakage_table(350.0, 0.08), kept);
+    EXPECT_NE(lib_.leakage_table(351.0), kept);
+    EXPECT_NE(Library().leakage_table(350.0), kept);  // a new memo
+  }
+  const Library other;
+  const CellId nand3 = other.find("NAND3");
+  EXPECT_EQ(kept->leakage(nand3, 5), other.cell_leakage(nand3, 5, 350.0));
+  EXPECT_THROW(kept->leakage(nand3, 8), std::out_of_range);
+  EXPECT_THROW(kept->leakage(other.num_cells(), 0), std::out_of_range);
+}
 
 }  // namespace
 }  // namespace nbtisim::tech

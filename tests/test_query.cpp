@@ -567,6 +567,31 @@ TEST(ServeTest, BitIdenticalResponsesAcrossConcurrentSessions) {
   remove_store(path);
 }
 
+TEST(ServeTest, SessionClosesOnAnOverlongLine) {
+  // A line past kMaxRequestLine gets one ok:false answer and ends the
+  // session: the request after it is never read.  A line of exactly the
+  // limit is still answered.
+  const std::string path = build_store("serve_long.jsonl", 12, 2);
+  const StoreView view(path);
+  std::string at_limit = "{\"agg\":{\"op\":\"count\"}}";
+  at_limit.resize(kMaxRequestLine, ' ');
+  std::istringstream in(at_limit + "\n" +
+                        std::string(kMaxRequestLine + 1, 'x') + "\n" +
+                        "{\"agg\":{\"op\":\"count\"}}\n");
+  std::ostringstream out;
+  serve_session(view, in, out, 1);
+  std::istringstream lines(out.str());
+  std::string first, second, third;
+  ASSERT_TRUE(std::getline(lines, first));
+  EXPECT_NE(first.find(R"("matched":12)"), std::string::npos) << first;
+  ASSERT_TRUE(std::getline(lines, second));
+  EXPECT_EQ(second.find(R"({"ok":false,"error":"request line longer than)"),
+            0u)
+      << second;
+  EXPECT_FALSE(std::getline(lines, third)) << third;
+  remove_store(path);
+}
+
 // Plain socket round-trip (deliberately outside the determinism label: the
 // protocol logic above already runs under TSan; this checks the TCP plumbing).
 TEST(ServeTcpTest, AnswersOverLoopback) {
@@ -606,6 +631,63 @@ TEST(ServeTcpTest, AnswersOverLoopback) {
   server.join();
   EXPECT_EQ(response.find(R"({"ok":true)"), 0u) << response;
   EXPECT_NE(response.find(R"("matched":20)"), std::string::npos) << response;
+  remove_store(path);
+}
+
+TEST(ServeTcpTest, ClosesOnAnOverlongLine) {
+  // A client that never sends a newline gets ok:false once the line passes
+  // kMaxRequestLine, then the server closes the connection.
+  const std::string path = build_store("serve_tcp_long.jsonl", 5, 1);
+  const StoreView view(path);
+  std::atomic<int> port{0};
+  ServeOptions opt;
+  opt.n_threads = 1;
+  opt.max_connections = 1;
+  opt.bound_port = &port;
+  std::thread server([&] { serve_tcp(view, opt, nullptr); });
+  while (port.load(std::memory_order_acquire) == 0) {
+    std::this_thread::yield();
+  }
+
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  timeval timeout{};
+  timeout.tv_sec = 20;  // a server that keeps waiting fails, not hangs
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof timeout);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(static_cast<std::uint16_t>(port.load()));
+  ASSERT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                      sizeof addr),
+            0);
+  const std::string request(kMaxRequestLine + 1, 'x');
+  std::size_t sent = 0;
+  while (sent < request.size()) {
+    const ssize_t w =
+        ::send(fd, request.data() + sent, request.size() - sent, 0);
+    if (w <= 0) break;
+    sent += static_cast<std::size_t>(w);
+  }
+  EXPECT_EQ(sent, request.size());
+  std::string response;
+  char buf[1024];
+  bool closed = false;
+  for (;;) {
+    const ssize_t n = ::recv(fd, buf, sizeof buf, 0);
+    if (n <= 0) {
+      closed = n == 0;
+      break;
+    }
+    response.append(buf, static_cast<std::size_t>(n));
+  }
+  ::close(fd);
+  server.join();
+  EXPECT_TRUE(closed);
+  EXPECT_EQ(response.find(R"({"ok":false,"error":"request line longer than)"),
+            0u)
+      << response.substr(0, 200);
+  EXPECT_EQ(response.back(), '\n');
   remove_store(path);
 }
 

@@ -128,5 +128,16 @@ TEST_P(EqDutyTempSweep, DutyGrowsWithStandbyTemperature) {
 INSTANTIATE_TEST_SUITE_P(StandbyTemps, EqDutyTempSweep,
                          ::testing::Values(310.0, 330.0, 350.0, 370.0));
 
+TEST_F(ScheduleTest, RejectsNanStressProbabilityAndFraction) {
+  const ModeSchedule s = ModeSchedule::from_ras(1, 1, 100.0, 400.0, 330.0);
+  DeviceStress bad = stress_;
+  bad.active_stress_prob = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(equivalent_cycle(p_, bad, s), std::invalid_argument);
+  DeviceStress bad_fraction = stress_;
+  bad_fraction.standby_stress_fraction =
+      std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(equivalent_cycle(p_, bad_fraction, s), std::invalid_argument);
+}
+
 }  // namespace
 }  // namespace nbtisim::nbti

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <random>
 
 #include "netlist/generators.h"
@@ -159,6 +160,14 @@ TEST_P(ConstantInputSweep, SaturatedInputsGiveSaturatedNodes) {
 
 INSTANTIATE_TEST_SUITE_P(Saturated, ConstantInputSweep,
                          ::testing::Values(0.0, 1.0));
+
+TEST(SignalStatsTest, RejectsNanInputProbability) {
+  // A NaN probability used to be sampled as 0.
+  const Netlist nl = netlist::make_parity_tree("p", 4);
+  std::vector<double> sp(4, 0.5);
+  sp[2] = std::nan("");
+  EXPECT_THROW(estimate_signal_stats(nl, sp, 100, 1), std::invalid_argument);
+}
 
 }  // namespace
 }  // namespace nbtisim::sim
