@@ -24,7 +24,7 @@ constexpr std::size_t kMaxCachedPolicies = 16;
 // results (each gate writes only its own slot).
 constexpr int kKernelGateChunk = 64;
 
-// Devices handed out per work-pool index by stress_contexts: with the S_n
+// Devices handed out per work-pool index by stress_kernel: with the S_n
 // prefix memoized, each context costs well under a microsecond.
 constexpr int kContextGrain = 256;
 
@@ -187,11 +187,7 @@ AgingAnalyzer::stress_descriptors(const StandbyPolicy& policy) const {
       ++slot;
     }
   });
-  // The stress profiles are freed before the kernel packs the contexts.
-  std::vector<nbti::DeviceAging::StressContext> contexts =
-      stress_contexts(std::exchange(stresses, {}));
-  desc->kernel = nbti::RdKernel(nbti::DeviceAging(cond_.rd, cond_.method),
-                                std::move(contexts));
+  desc->kernel = stress_kernel(std::move(stresses));
 
   std::lock_guard<std::mutex> lock(cache_mutex_);
   // Another thread may have built the same policy concurrently; reuse its
@@ -206,82 +202,75 @@ AgingAnalyzer::stress_descriptors(const StandbyPolicy& policy) const {
   return desc;
 }
 
-std::vector<nbti::DeviceAging::StressContext> AgingAnalyzer::stress_contexts(
-    std::span<const nbti::DeviceStress> stresses) const {
+nbti::RdKernel AgingAnalyzer::stress_kernel(
+    std::vector<nbti::DeviceStress> stresses) const {
   const nbti::DeviceAging model(cond_.rd, cond_.method);
   const int n = static_cast<int>(stresses.size());
-  std::vector<std::uint64_t> duty_key(n);
-  std::shared_ptr<const PrefixMemo> memo;
-  {
-    // One build at a time finds and fills the memo's missing duties:
-    // concurrent builds would otherwise each compute the duties they
-    // share, at a cost that depends on how their runs overlap.
-    std::lock_guard<std::mutex> build(prefix_build_mutex_);
-    {
-      std::lock_guard<std::mutex> lock(cache_mutex_);
-      memo = prefix_memo_;
-    }
-    // Each device's equivalent duty, flagged when the memo lacks it.  The
-    // snapshot is immutable, so no lock is taken per device.
-    std::vector<char> missing(n);
-    common::parallel_for_grain(n, cond_.n_threads, kContextGrain, [&](int i) {
-      duty_key[i] = std::bit_cast<std::uint64_t>(
-          model.equivalent_duty(stresses[i], cond_.schedule));
-      missing[i] = memo->contains(duty_key[i]) ? 0 : 1;
-    });
-    memo = add_prefixes(std::move(memo), duty_key, missing);
-  }
-
   std::vector<nbti::DeviceAging::StressContext> contexts(n);
   common::parallel_for_grain(n, cond_.n_threads, kContextGrain, [&](int i) {
-    contexts[i] = model.make_context(stresses[i], cond_.schedule,
-                                     memo->at(duty_key[i]));
+    contexts[i] = model.make_context(stresses[i], cond_.schedule);
   });
-  return contexts;
+  // The stress profiles are freed before the kernel packs the contexts.
+  stresses = {};
+  std::shared_ptr<PrefixMemo> memo;
+  {
+    std::lock_guard<std::mutex> lock(prefix_mutex_);
+    memo = prefix_memo_;
+    attach_prefixes(*memo, contexts);
+  }
+  return nbti::RdKernel(model, std::move(contexts), std::move(memo));
 }
 
-std::shared_ptr<const AgingAnalyzer::PrefixMemo> AgingAnalyzer::add_prefixes(
-    std::shared_ptr<const PrefixMemo> snapshot,
-    std::span<const std::uint64_t> duty_key,
-    std::span<const char> missing) const {
+void AgingAnalyzer::attach_prefixes(
+    PrefixMemo& memo,
+    std::span<nbti::DeviceAging::StressContext> contexts) const {
+  const int n = static_cast<int>(contexts.size());
+  const auto key = [&](int i) {
+    return std::bit_cast<std::uint64_t>(contexts[i].ac.duty);
+  };
+  const auto wants_prefix = [&](int i) {
+    return !contexts[i].always_zero && contexts[i].prefix == nullptr;
+  };
+  // The index is only written below, under the caller's lock, so the
+  // parallel lookups need none.
+  common::parallel_for_grain(n, cond_.n_threads, kContextGrain, [&](int i) {
+    if (!wants_prefix(i)) return;
+    const auto it = memo.index.find(key(i));
+    if (it != memo.index.end()) contexts[i].prefix = it->second;
+  });
   std::vector<std::uint64_t> fresh;
   {
     std::unordered_set<std::uint64_t> seen;
-    for (std::size_t i = 0; i < duty_key.size(); ++i) {
-      if (missing[i] && seen.insert(duty_key[i]).second) {
-        fresh.push_back(duty_key[i]);
+    for (int i = 0; i < n; ++i) {
+      if (wants_prefix(i) && seen.insert(key(i)).second) {
+        fresh.push_back(key(i));
       }
     }
   }
-  if (fresh.empty()) return snapshot;
-  std::vector<nbti::SnPrefix> prefixes(fresh.size());
+  if (fresh.empty()) return;
+  auto block = std::make_unique<nbti::SnPrefix[]>(fresh.size());
   common::parallel_for(static_cast<int>(fresh.size()), cond_.n_threads,
                        [&](int i) {
-                         prefixes[i] = nbti::make_sn_prefix(
+                         block[i] = nbti::make_sn_prefix(
                              std::bit_cast<double>(fresh[i]));
                        });
-  const auto with_fresh = [&](const PrefixMemo& base) {
-    auto next = std::make_shared<PrefixMemo>(base);
-    for (std::size_t i = 0; i < fresh.size(); ++i) {
-      next->try_emplace(fresh[i], prefixes[i]);
-    }
-    return next;
-  };
-
-  // Copy-on-write: builds attaching contexts keep reading the snapshot they
-  // took.  An invalidate_stress_cache() since the snapshot dropped entries
-  // this build still reads, so then the build keeps its own snapshot plus
-  // the new prefixes.
-  std::lock_guard<std::mutex> lock(cache_mutex_);
-  const bool unchanged = prefix_memo_ == snapshot;
-  prefix_memo_ = with_fresh(*prefix_memo_);
-  return unchanged ? prefix_memo_ : with_fresh(*snapshot);
+  for (std::size_t i = 0; i < fresh.size(); ++i) {
+    memo.index.emplace(fresh[i], &block[i]);
+  }
+  memo.blocks.push_back(std::move(block));
+  common::parallel_for_grain(n, cond_.n_threads, kContextGrain, [&](int i) {
+    if (wants_prefix(i)) contexts[i].prefix = memo.index.at(key(i));
+  });
 }
 
 void AgingAnalyzer::invalidate_stress_cache() const {
-  std::lock_guard<std::mutex> lock(cache_mutex_);
-  stress_cache_.clear();
-  prefix_memo_ = std::make_shared<const PrefixMemo>();
+  {
+    std::lock_guard<std::mutex> lock(cache_mutex_);
+    stress_cache_.clear();
+  }
+  // Kernels still in use keep the old memo alive.
+  std::lock_guard<std::mutex> lock(prefix_mutex_);
+  prefix_memo_ = std::make_shared<PrefixMemo>();
 }
 
 std::vector<double> AgingAnalyzer::gate_dvth(

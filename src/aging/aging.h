@@ -115,11 +115,14 @@ struct DegradationReport {
 /// invalidate_stress_cache():
 ///   - per-policy stress descriptors, the newest kMaxCachedPolicies (16)
 ///     policies;
-///   - the duty memo: the S_n recursion prefix (nbti::make_sn_prefix) of
-///     every equivalent duty a descriptor build has met, keyed on the
-///     duty's bit pattern and shared by all threads and policies.  A
-///     circuit has far fewer distinct duties than PMOS devices, and an
-///     evicted policy rebuilds without running the recursion again.  Each
+///   - the duty memo: the S_n recursion prefix (nbti::make_sn_prefix, with
+///     its short-horizon checkpoints) of every equivalent duty a kernel
+///     build has met, keyed on the duty's bit pattern and shared by all
+///     threads and policies.  A circuit has far fewer distinct duties than
+///     PMOS devices, and an evicted policy rebuilds without running the
+///     recursion again.  Contexts point at their memo entry instead of
+///     copying it, and each kernel keeps the memo it points into alive, so
+///     invalidation never pulls an entry from under an evaluation.  Each
 ///     prefix is a pure function of its key, so results are bitwise those
 ///     of nbti::DeviceAging::make_context(stress, schedule).
 class AgingAnalyzer {
@@ -161,13 +164,14 @@ class AgingAnalyzer {
     return stress_builds_.load(std::memory_order_relaxed);
   }
 
-  /// Evaluation contexts of \p stresses under the analyzer's schedule and
-  /// R-D model, in order — bitwise DeviceAging::make_context(stress,
-  /// schedule) of each, with the S_n prefixes drawn from (and new duties
-  /// added to) the duty memo.  The PMOS descriptor build and the PBTI
-  /// kernel both go through it.  Parallel over AgingConditions::n_threads.
-  std::vector<nbti::DeviceAging::StressContext> stress_contexts(
-      std::span<const nbti::DeviceStress> stresses) const;
+  /// The SoA kernel over \p stresses under the analyzer's schedule and R-D
+  /// model, in order: its contexts are DeviceAging::make_context(stress,
+  /// schedule) of each, pointed at the S_n prefix of their duty in the
+  /// duty memo (new duties are added), which the kernel keeps alive — so
+  /// every output is bitwise the oracle's.  The PMOS descriptor build and
+  /// the PBTI kernel both go through it.  Parallel over
+  /// AgingConditions::n_threads.
+  nbti::RdKernel stress_kernel(std::vector<nbti::DeviceStress> stresses) const;
 
   /// Fresh critical delay [s] (gate_delay_scale applied) — precomputed once
   /// at construction; what analyze() reports as fresh_delay.
@@ -203,7 +207,7 @@ class AgingAnalyzer {
 
  private:
   /// Build-once product of the pipeline's per-policy phase: every PMOS
-  /// device's evaluation state (equivalent cycle, K_v, S_n prefix from the
+  /// device's evaluation state (equivalent cycle, K_v, S_n prefix in the
   /// duty memo) under cond_.schedule, flattened over gates and packed into
   /// the SoA kernel, which owns the only copy.  Only the horizon varies
   /// between evaluations, and each horizon is O(1) per device.
@@ -218,17 +222,20 @@ class AgingAnalyzer {
   std::shared_ptr<const StressDescriptors> stress_descriptors(
       const StandbyPolicy& policy) const;
 
-  /// The duty memo: S_n prefix by the bit pattern of the equivalent duty.
-  using PrefixMemo = std::unordered_map<std::uint64_t, nbti::SnPrefix>;
+  /// The duty memo: S_n prefixes by the bit pattern of the equivalent duty.
+  /// Each batch of new duties gets one contiguous block; blocks never move,
+  /// so contexts hold plain pointers into them.
+  struct PrefixMemo {
+    std::unordered_map<std::uint64_t, const nbti::SnPrefix*> index;
+    std::vector<std::unique_ptr<nbti::SnPrefix[]>> blocks;
+  };
 
-  /// Computes the prefixes of the duties flagged \p missing from
-  /// \p snapshot (each distinct duty once), publishes them, and returns a
-  /// memo holding every duty in \p duty_key.  Called under
-  /// prefix_build_mutex_.
-  std::shared_ptr<const PrefixMemo> add_prefixes(
-      std::shared_ptr<const PrefixMemo> snapshot,
-      std::span<const std::uint64_t> duty_key,
-      std::span<const char> missing) const;
+  /// Points every context that has equivalent stress at the memo entry of
+  /// its duty, computing the missing entries (each distinct duty once, in
+  /// one new block).  Called under prefix_mutex_.
+  void attach_prefixes(
+      PrefixMemo& memo,
+      std::span<nbti::DeviceAging::StressContext> contexts) const;
 
   const netlist::Netlist* nl_;
   const tech::Library* lib_;
@@ -238,13 +245,12 @@ class AgingAnalyzer {
   std::vector<double> fresh_delays_;
   double fresh_critical_delay_ = 0.0;
   mutable std::mutex cache_mutex_;
-  /// Held by stress_contexts from its memo snapshot to publishing the new
-  /// prefixes, so no duty's prefix is computed twice.
-  mutable std::mutex prefix_build_mutex_;
   mutable std::vector<std::shared_ptr<const StressDescriptors>> stress_cache_;
-  /// Immutable once published; replaced (copy-on-write) under cache_mutex_.
-  mutable std::shared_ptr<const PrefixMemo> prefix_memo_ =
-      std::make_shared<const PrefixMemo>();
+  /// Guards prefix_memo_ and its index: one kernel build at a time looks
+  /// up and extends the memo, so no duty's prefix is computed twice.
+  mutable std::mutex prefix_mutex_;
+  mutable std::shared_ptr<PrefixMemo> prefix_memo_ =
+      std::make_shared<PrefixMemo>();
   mutable std::atomic<std::uint64_t> stress_builds_{0};
 };
 

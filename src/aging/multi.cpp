@@ -98,9 +98,7 @@ PbtiStressSet build_pbti_stress(const AgingAnalyzer& analyzer,
 
 nbti::RdKernel build_pbti_kernel(const AgingAnalyzer& analyzer,
                                  const PbtiStressSet& set) {
-  const AgingConditions& cond = analyzer.conditions();
-  return nbti::RdKernel(nbti::DeviceAging(cond.rd, cond.method),
-                        analyzer.stress_contexts(set.devices));
+  return analyzer.stress_kernel(set.devices);
 }
 
 MultiAgingReport analyze_multi_mechanism(const AgingAnalyzer& analyzer,

@@ -59,13 +59,13 @@ PbtiStressSet build_pbti_stress(const AgingAnalyzer& analyzer,
                                 const StandbyPolicy& policy);
 
 /// Packs \p set into the SoA kernel under \p analyzer's RD model and mode
-/// schedule, with contexts from AgingAnalyzer::stress_contexts (so the
-/// analyzer's duty memo serves the NMOS devices too).  worst_per_gate over set.gate_begin then yields the unscaled
-/// worst PBTI shift per gate, bitwise equal to the max of
-/// DeviceAging::delta_vth over the gate's devices; scaling that maximum by a
-/// non-negative pbti.ratio equals the max of the scaled shifts bit for bit
-/// (rounded multiplication by a non-negative constant is monotone, and
-/// every dVth is >= 0).
+/// schedule through AgingAnalyzer::stress_kernel (so the analyzer's duty
+/// memo serves the NMOS devices too).  worst_per_gate over set.gate_begin
+/// then yields the unscaled worst PBTI shift per gate, bitwise equal to the
+/// max of DeviceAging::delta_vth over the gate's devices; scaling that
+/// maximum by a non-negative pbti.ratio equals the max of the scaled shifts
+/// bit for bit (rounded multiplication by a non-negative constant is
+/// monotone, and every dVth is >= 0).
 nbti::RdKernel build_pbti_kernel(const AgingAnalyzer& analyzer,
                                  const PbtiStressSet& set);
 

@@ -1,8 +1,6 @@
 #include "analysis/context.h"
 
 #include <cstdio>
-#include <fstream>
-#include <sstream>
 #include <stdexcept>
 
 #include "netlist/bench_io.h"
@@ -53,14 +51,11 @@ netlist::Netlist load_netlist_spec(const std::string& spec, bool cut_dffs) {
   }
   if (spec.ends_with(".v")) return netlist::load_verilog(spec);
   if (spec.find('/') != std::string::npos || spec.ends_with(".bench")) {
-    std::ifstream probe(spec);
-    if (!probe) throw std::runtime_error("netlist: cannot open " + spec);
-    std::ostringstream ss;
-    ss << probe.rdbuf();
     std::string name = spec;
     const std::size_t slash = name.find_last_of('/');
     if (slash != std::string::npos) name.erase(0, slash + 1);
-    return netlist::parse_bench(ss.str(), name, {.cut_dffs = cut_dffs});
+    return netlist::parse_bench(netlist::read_text_file(spec, "netlist"), name,
+                                {.cut_dffs = cut_dffs});
   }
   return netlist::iscas85_like(spec);
 }

@@ -50,6 +50,10 @@ Value execute_task(const CampaignSpec& spec, const Task& task,
 
 }  // namespace
 
+analysis::ContextPool campaign_context_pool(const CampaignSpec& spec) {
+  return analysis::ContextPool(spec.params, spec.cut_dffs, spec.n_threads);
+}
+
 RunStats run_campaign(const CampaignSpec& spec, const std::string& store_path,
                       std::ostream* progress) {
   const auto t0 = std::chrono::steady_clock::now();
@@ -81,7 +85,7 @@ RunStats run_campaign(const CampaignSpec& spec, const std::string& store_path,
     }
   }
 
-  analysis::ContextPool pool(spec.params, spec.cut_dffs);
+  analysis::ContextPool pool = campaign_context_pool(spec);
   // Fixed batch size: big enough to keep any sane worker count busy, small
   // enough that a killed run loses little work. Batch boundaries never
   // affect file content — rows land in task order either way, routed to

@@ -21,18 +21,20 @@
 /// tasks that share a grid cell's (netlist, condition) reuse one
 /// AgingAnalyzer (the dominant cost: signal statistics + stress-descriptor
 /// builds), and tasks sharing (netlist, T_standby) reuse one
-/// LeakageAnalyzer. Inner engines default to the shared pool (n_threads =
-/// 0): run inside a scheduler worker they execute serially — a pool task
-/// never spawns a nested team, so a k-worker campaign uses k threads, not
-/// k² — while a task executed on the caller (serial campaign) may fan its
-/// inner loops over the idle pool. Every inner engine is bit-identical for
-/// any thread count (see docs/USAGE.md "Threading model"), so all of this
-/// is purely a scheduling choice, not a results one.
+/// LeakageAnalyzer. Inner engines run with the spec's n_threads: inside a
+/// scheduler worker they execute serially — a pool task never spawns a
+/// nested team, so a k-worker campaign uses k threads, not k² — while a
+/// task executed on the caller may fan its inner loops over at most
+/// n_threads participants (so `--threads 1` stays on one thread). Every
+/// inner engine is bit-identical for any thread count (see docs/USAGE.md
+/// "Threading model"), so all of this is purely a scheduling choice, not a
+/// results one.
 #pragma once
 
 #include <iosfwd>
 #include <string>
 
+#include "analysis/context.h"
 #include "campaign/spec.h"
 #include "campaign/store.h"
 #include "report/report.h"
@@ -55,6 +57,10 @@ struct SummaryStats {
   int summarized = 0;  ///< rows matching a current grid task
   int stale = 0;       ///< rows invalidated by a spec/parameter change
 };
+
+/// The ContextPool run_campaign evaluates \p spec's tasks in: its params,
+/// DFF handling and n_threads.
+analysis::ContextPool campaign_context_pool(const CampaignSpec& spec);
 
 /// Runs (or resumes) \p spec against the store at \p store_path; progress
 /// lines go to \p progress when non-null. See the file comment for the

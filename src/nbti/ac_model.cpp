@@ -1,5 +1,6 @@
 #include "nbti/ac_model.h"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 #include <string>
@@ -16,6 +17,21 @@ void check_duty(double duty) {
   }
 }
 
+// Applies eq. (10) to S after \p from cycles until it is S after \p to
+// cycles.  Every evaluation of the recursion goes through this loop, so a
+// state resumed from a checkpoint sees the exact same operations.
+double advance_sn(double s, double step, std::int64_t from, std::int64_t to) {
+  for (std::int64_t i = from; i < to; ++i) s += step / (s * s * s);
+  return s;
+}
+
+// The telescoped tail: S^4 grows by 4 * step per cycle for the \p remaining
+// (possibly fractional) cycles after the exact head that ended at \p s.
+double telescope(double s, double step, double remaining) {
+  if (remaining <= 0.0) return s;
+  return quarter_root(s * s * s * s + remaining * 4.0 * step);
+}
+
 }  // namespace
 
 double ac_beta(double duty) {
@@ -28,12 +44,8 @@ double sn_exact(double duty, std::int64_t n_cycles) {
   if (n_cycles < 1) throw std::invalid_argument("sn_exact: n_cycles < 1");
   if (duty == 0.0) return 0.0;
   const double beta = ac_beta(duty);
-  double s = std::pow(duty, 0.25) / (1.0 + beta);
   const double step = duty / (4.0 * (1.0 + beta));
-  for (std::int64_t i = 1; i < n_cycles; ++i) {
-    s += step / (s * s * s);
-  }
-  return s;
+  return advance_sn(std::pow(duty, 0.25) / (1.0 + beta), step, 1, n_cycles);
 }
 
 double sn_closed(double duty, double n_cycles) {
@@ -45,16 +57,11 @@ double sn_closed(double duty, double n_cycles) {
   // Hybrid evaluation: run the exact recursion for the first cycles (where
   // the telescoped form's O(log n / n) error is visible), then telescope the
   // long tail where S^4 grows by 4*step per cycle to high accuracy.
-  double s = std::pow(duty, 0.25) / (1.0 + beta);
   const std::int64_t iters =
       static_cast<std::int64_t>(std::min(n_cycles, kSnExactCycles));
-  for (std::int64_t i = 1; i < iters; ++i) {
-    s += step / (s * s * s);
-  }
-  const double remaining = n_cycles - static_cast<double>(iters);
-  if (remaining <= 0.0) return s;
-  const double s4 = s * s * s * s + remaining * 4.0 * step;
-  return quarter_root(s4);
+  const double s =
+      advance_sn(std::pow(duty, 0.25) / (1.0 + beta), step, 1, iters);
+  return telescope(s, step, n_cycles - static_cast<double>(iters));
 }
 
 SnPrefix make_sn_prefix(double duty) {
@@ -65,11 +72,15 @@ SnPrefix make_sn_prefix(double duty) {
   const double beta = ac_beta(duty);
   prefix.step = duty / (4.0 * (1.0 + beta));
   // Same operation sequence as sn_closed's head with n_cycles >=
-  // kSnExactCycles — the bit-identity contract depends on it.
+  // kSnExactCycles — the bit-identity contract depends on it — recording
+  // the state at each checkpoint cycle on the way.
+  constexpr auto kHead = static_cast<std::int64_t>(kSnExactCycles);
   double s = std::pow(duty, 0.25) / (1.0 + beta);
-  for (std::int64_t i = 1; i < static_cast<std::int64_t>(kSnExactCycles);
-       ++i) {
-    s += prefix.step / (s * s * s);
+  for (int k = 0; k < kSnCheckpoints; ++k) {
+    prefix.checkpoint[k] = s;
+    const std::int64_t from = 1 + std::int64_t{k} * kSnCheckpointStride;
+    s = advance_sn(s, prefix.step, from,
+                   std::min(kHead, from + kSnCheckpointStride));
   }
   prefix.s = s;
   return prefix;
@@ -79,15 +90,14 @@ double sn_closed(const SnPrefix& prefix, double n_cycles) {
   if (n_cycles < 1.0) throw std::invalid_argument("sn_closed: n_cycles < 1");
   if (prefix.duty == 0.0) return 0.0;
   if (n_cycles < kSnExactCycles) {
-    // Short horizons never reach the precomputed point; the recursion here
-    // is as cheap as the prefix would be.
-    return sn_closed(prefix.duty, n_cycles);
+    // Resume from the last checkpoint at or below the head's length.
+    const auto iters = static_cast<std::int64_t>(n_cycles);
+    const std::int64_t k = (iters - 1) / kSnCheckpointStride;
+    const double s = advance_sn(prefix.checkpoint[k], prefix.step,
+                                1 + k * kSnCheckpointStride, iters);
+    return telescope(s, prefix.step, n_cycles - static_cast<double>(iters));
   }
-  const double remaining = n_cycles - kSnExactCycles;
-  if (remaining <= 0.0) return prefix.s;
-  const double s4 =
-      prefix.s * prefix.s * prefix.s * prefix.s + remaining * 4.0 * prefix.step;
-  return quarter_root(s4);
+  return telescope(prefix.s, prefix.step, n_cycles - kSnExactCycles);
 }
 
 double ac_delta_vth(const RdParams& p, double temp_k, const AcStress& stress,

@@ -19,6 +19,7 @@
 /// `bench_ablation_recursion` quantifies the difference.
 #pragma once
 
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <vector>
@@ -53,23 +54,36 @@ double sn_closed(double duty, double n_cycles);
 /// evaluation (see the file comment).
 inline constexpr double kSnExactCycles = 1024.0;
 
+/// Cycles between the S_n checkpoints a prefix records.
+inline constexpr int kSnCheckpointStride = 64;
+/// Checkpoints per prefix: S after cycles 1, 1 + kSnCheckpointStride, ...,
+/// up to the last one below kSnExactCycles.
+inline constexpr int kSnCheckpoints =
+    static_cast<int>(kSnExactCycles) / kSnCheckpointStride;
+
 /// The horizon-independent head of sn_closed for one duty cycle: the exact
-/// S-recursion prefix at kSnExactCycles.  Sweeps that evaluate the same
-/// stress pattern at many horizons (degradation series, lifetime search)
-/// precompute this once and drop the O(kSnExactCycles) recursion from every
-/// evaluation; sn_closed(prefix, n) is bit-identical to
-/// sn_closed(prefix.duty, n) for every n.
+/// S-recursion prefix at kSnExactCycles, plus the recursion state every
+/// kSnCheckpointStride cycles on the way there.  Sweeps that evaluate the
+/// same stress pattern at many horizons (degradation series, lifetime
+/// search) compute this once: sn_closed(prefix, n) is O(1) for
+/// n >= kSnExactCycles and resumes the recursion from the nearest
+/// checkpoint below that, at most kSnCheckpointStride - 1 steps.  Recording
+/// the checkpoints costs no arithmetic, and the recursion is deterministic,
+/// so sn_closed(prefix, n) is bit-identical to sn_closed(prefix.duty, n)
+/// for every n.
 struct SnPrefix {
   double duty = 0.0;
   double s = 0.0;     ///< S after kSnExactCycles cycles (0 for duty == 0)
   double step = 0.0;  ///< c / (4 (1 + beta))
+  /// checkpoint[k] = S after 1 + k * kSnCheckpointStride cycles.
+  std::array<double, kSnCheckpoints> checkpoint{};
 };
 
 /// \throws std::invalid_argument for duty outside [0, 1]
 SnPrefix make_sn_prefix(double duty);
 
 /// sn_closed via a precomputed prefix: O(1) for n_cycles >= kSnExactCycles,
-/// falls back to the short exact recursion below it.
+/// under kSnCheckpointStride recursion steps below it.
 double sn_closed(const SnPrefix& prefix, double n_cycles);
 
 /// Threshold shift after stressing for \p total_time under the AC pattern

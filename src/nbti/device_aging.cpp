@@ -1,6 +1,5 @@
 #include "nbti/device_aging.h"
 
-#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <stdexcept>
@@ -37,7 +36,7 @@ double DeviceAging::delta_vth(const DeviceStress& stress,
   return eval(stress, schedule, total_time, /*worst_case_temp=*/false);
 }
 
-DeviceAging::StressContext DeviceAging::context_without_prefix(
+DeviceAging::StressContext DeviceAging::make_context(
     const DeviceStress& stress, const ModeSchedule& schedule) const {
   StressContext ctx;
   ctx.schedule_period = schedule.period();
@@ -61,33 +60,6 @@ DeviceAging::StressContext DeviceAging::context_without_prefix(
   return ctx;
 }
 
-DeviceAging::StressContext DeviceAging::make_context(
-    const DeviceStress& stress, const ModeSchedule& schedule) const {
-  StressContext ctx = context_without_prefix(stress, schedule);
-  if (!ctx.always_zero) ctx.prefix = make_sn_prefix(ctx.ac.duty);
-  return ctx;
-}
-
-DeviceAging::StressContext DeviceAging::make_context(
-    const DeviceStress& stress, const ModeSchedule& schedule,
-    const SnPrefix& prefix) const {
-  StressContext ctx = context_without_prefix(stress, schedule);
-  if (ctx.always_zero) return ctx;
-  if (std::bit_cast<std::uint64_t>(prefix.duty) !=
-      std::bit_cast<std::uint64_t>(ctx.ac.duty)) {
-    throw std::invalid_argument("make_context: S_n prefix is for another duty");
-  }
-  ctx.prefix = prefix;
-  return ctx;
-}
-
-double DeviceAging::equivalent_duty(const DeviceStress& stress,
-                                    const ModeSchedule& schedule) const {
-  const EquivalentCycle eq =
-      equivalent_cycle(params_, stress, schedule, scale_recovery_);
-  return eq.stress_time <= 0.0 ? 0.0 : eq.duty();
-}
-
 double DeviceAging::delta_vth(const StressContext& ctx,
                               double total_time) const {
   if (total_time < 0.0) {
@@ -109,7 +81,8 @@ double DeviceAging::delta_vth(const StressContext& ctx,
   double sn = 0.0;
   switch (method_) {
     case AcEvalMethod::ClosedForm:
-      sn = sn_closed(ctx.prefix, n);
+      sn = ctx.prefix != nullptr ? sn_closed(*ctx.prefix, n)
+                                 : sn_closed(ctx.ac.duty, n);
       break;
     case AcEvalMethod::ExactRecursion:
       sn = sn_exact(ctx.ac.duty, static_cast<std::int64_t>(std::llround(n)));

@@ -38,41 +38,33 @@ class DeviceAging {
                    double total_time) const;
 
   /// Horizon-independent evaluation state for one (stress, schedule) pair:
-  /// the equivalent cycle, the K_v prefactor, and the S_n recursion prefix.
-  /// Build once with make_context(), then evaluate many horizons at O(1)
-  /// each (vs. O(kSnExactCycles) for the plain overload).  delta_vth(ctx, t)
-  /// is bit-identical to delta_vth(stress, schedule, t) for every t.
+  /// the equivalent cycle, the K_v prefactor, and (when a memo supplies
+  /// it) the S_n recursion prefix.  Build once with make_context(), then
+  /// evaluate many horizons.  delta_vth(ctx, t) is bit-identical to
+  /// delta_vth(stress, schedule, t) for every t.
   struct StressContext {
     bool always_zero = false;   ///< no equivalent stress: dVth(t) == 0
     double schedule_period = 1.0;  ///< wall-clock mode period [s]
     double eq_period = 0.0;        ///< equivalent cycle period [s]
     double temp_active = 400.0;    ///< evaluation temperature [K]
     AcStress ac;                   ///< equivalent duty / period pattern
-    SnPrefix prefix;               ///< closed-form head for ac.duty
+    /// make_sn_prefix(ac.duty), owned by the caller's memo (it must
+    /// outlive the context): evaluations are then O(1) at n >=
+    /// kSnExactCycles and resume from a checkpoint below it, bitwise equal
+    /// to the oracle.  Null (as make_context leaves it): delta_vth runs the
+    /// recursion of sn_closed(ac.duty, n) from cycle 1 at every evaluation.
+    /// AgingAnalyzer points it into its duty memo.
+    const SnPrefix* prefix = nullptr;
     double vgs = 1.0;              ///< stress gate bias magnitude [V]
     double vth0 = 0.22;            ///< initial threshold magnitude [V]
     double kv = 0.0;               ///< kv_at(params, temp_active, vgs, vth0)
     double period_pow = 0.0;       ///< ac.period^(1/4)
   };
 
-  /// Precomputes the evaluation state of \p stress under \p schedule.
+  /// The oracle context of \p stress under \p schedule: no S_n prefix, so
+  /// each evaluation pays the full O(kSnExactCycles) recursion.
   StressContext make_context(const DeviceStress& stress,
                              const ModeSchedule& schedule) const;
-
-  /// As make_context(stress, schedule), but with the S_n prefix — the only
-  /// O(kSnExactCycles) part of a context — supplied by the caller instead
-  /// of computed.  \p prefix must be make_sn_prefix(equivalent_duty(stress,
-  /// schedule)); the context is then bit-identical to the oracle overload.
-  /// AgingAnalyzer feeds it from its duty memo.
-  /// \throws std::invalid_argument when prefix.duty is not that duty
-  StressContext make_context(const DeviceStress& stress,
-                             const ModeSchedule& schedule,
-                             const SnPrefix& prefix) const;
-
-  /// The equivalent AC duty of \p stress under \p schedule, the key of the
-  /// S_n prefix make_context needs (0 when there is no equivalent stress).
-  double equivalent_duty(const DeviceStress& stress,
-                         const ModeSchedule& schedule) const;
 
   /// dVth after \p total_time seconds via a precomputed context [V].
   double delta_vth(const StressContext& ctx, double total_time) const;
@@ -92,9 +84,6 @@ class DeviceAging {
  private:
   double eval(const DeviceStress& stress, const ModeSchedule& schedule,
               double total_time, bool worst_case_temp) const;
-  /// Every field of make_context's result but the S_n prefix.
-  StressContext context_without_prefix(const DeviceStress& stress,
-                                       const ModeSchedule& schedule) const;
 
   RdParams params_;
   AcEvalMethod method_;

@@ -47,9 +47,10 @@ void telescoped_lane(double total_time, int count,
 }  // namespace
 
 RdKernel::RdKernel(const DeviceAging& model,
-                   std::vector<DeviceAging::StressContext> contexts)
+                   std::vector<DeviceAging::StressContext> contexts,
+                   std::shared_ptr<const void> prefixes)
     : model_(model), contexts_(std::move(contexts)),
-      n_(static_cast<int>(contexts_.size())) {
+      prefixes_(std::move(prefixes)), n_(static_cast<int>(contexts_.size())) {
   sched_period_.resize(n_);
   eq_period_.resize(n_);
   ac_period_.resize(n_);
@@ -71,7 +72,8 @@ RdKernel::RdKernel(const DeviceAging& model,
       dc_kv_.push_back(ctx.kv);
     }
     const bool formula_lane = closed && !ctx.always_zero &&
-                              ctx.ac.duty > 0.0 && ctx.ac.duty < 1.0;
+                              ctx.prefix != nullptr && ctx.ac.duty > 0.0 &&
+                              ctx.ac.duty < 1.0;
     if (!formula_lane) {
       // Benign fills: the lane computes n == 0, which routes the device to
       // the scalar fixup pass unconditionally (and divides by nothing).
@@ -90,11 +92,12 @@ RdKernel::RdKernel(const DeviceAging& model,
     // The scalar tail evaluates prefix.s * prefix.s * prefix.s * prefix.s
     // left-to-right per call; the same expression precomputed once is the
     // identical double.
-    s4_base_[i] = ctx.prefix.s * ctx.prefix.s * ctx.prefix.s * ctx.prefix.s;
+    const SnPrefix& prefix = *ctx.prefix;
+    s4_base_[i] = prefix.s * prefix.s * prefix.s * prefix.s;
     // remaining * 4.0 * step and remaining * (4.0 * step) round identically:
     // the power-of-two scaling is exact, so both are one rounding of the
     // same real product.
-    step4_[i] = 4.0 * ctx.prefix.step;
+    step4_[i] = 4.0 * prefix.step;
     kv_[i] = ctx.kv;
     period_pow_[i] = ctx.period_pow;
   }
@@ -123,8 +126,9 @@ void RdKernel::eval(double total_time, int begin, int end, double* out,
   }
   // Scalar fixup: the exact-recursion head (n < kSnExactCycles), the
   // boundary cycle (n == kSnExactCycles returns the prefix value itself),
-  // duty 0, inactive devices, underflowed equivalent time, and
-  // ExactRecursion mode all take the reference scalar path.
+  // duty 0, inactive devices, contexts without a prefix, underflowed
+  // equivalent time, and ExactRecursion mode all take the reference scalar
+  // path.
   for (int i = begin; i < end; ++i) {
     if (lane_n[i - begin] <= kSnExactCycles) {
       out[i - begin] = model_.delta_vth(contexts_[i], total_time);

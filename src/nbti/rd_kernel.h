@@ -29,13 +29,16 @@
 /// prefactor hoisted to construction time — since the scalar path
 /// short-circuits them before the eval-method switch.  Remaining lanes the
 /// formulas do not cover — horizons inside the exact-recursion head
-/// (n <= kSnExactCycles), duty 0, inactive devices, ExactRecursion mode —
-/// are finished by a scalar fixup pass that calls DeviceAging::delta_vth on
-/// the stored context, so every output is bitwise equal to the scalar path
-/// by construction.  The differential suite (tests/test_differential.cpp)
-/// enforces exact equality, both per device and per gate against the oracle.
+/// (n <= kSnExactCycles, where the context's S_n prefix resumes from a
+/// checkpoint), duty 0, inactive devices, contexts without a prefix,
+/// ExactRecursion mode — are finished by a scalar fixup pass that calls
+/// DeviceAging::delta_vth on the stored context, so every output is bitwise
+/// equal to the scalar path by construction.  The differential suite
+/// (tests/test_differential.cpp) enforces exact equality, both per device
+/// and per gate against the oracle.
 #pragma once
 
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -52,14 +55,14 @@ class RdKernel {
   /// Packs \p contexts (as produced by DeviceAging::make_context under one
   /// model) into SoA form.  The model is copied; contexts are kept for the
   /// scalar fixup lanes — callers move their vector in, so the kernel holds
-  /// the only copy.
+  /// the only copy.  \p prefixes keeps alive the storage the contexts' S_n
+  /// prefixes point into (AgingAnalyzer's duty memo); contexts without a
+  /// prefix take the scalar path at every horizon.
   RdKernel(const DeviceAging& model,
-           std::vector<DeviceAging::StressContext> contexts);
+           std::vector<DeviceAging::StressContext> contexts,
+           std::shared_ptr<const void> prefixes = nullptr);
 
   int num_devices() const { return n_; }
-  const DeviceAging::StressContext& context(int i) const {
-    return contexts_[i];
-  }
 
   /// out[i - begin] = model.delta_vth(context(i), total_time) for i in
   /// [begin, end), bit-identical to the scalar calls.
@@ -92,6 +95,7 @@ class RdKernel {
 
   DeviceAging model_;
   std::vector<DeviceAging::StressContext> contexts_;
+  std::shared_ptr<const void> prefixes_;
   int n_ = 0;
   // One array per context field the vector lane reads.  Lanes the formula
   // does not apply to carry benign fill values (eq_period 0) that force the

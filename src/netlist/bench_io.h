@@ -13,7 +13,15 @@
 /// and reports combinational cycles.  Gates wider than the library's 4-input
 /// cells are decomposed into balanced trees (see build_wide_gate).
 /// Sequential elements (DFF) are rejected — the paper's flow is purely
-/// combinational.
+/// combinational — unless BenchOptions::cut_dffs cuts them.
+///
+/// parse_bench is one pass over the text: no stream and no per-line string.
+/// Each net name is interned once into a dense symbol id (a hash map keyed
+/// on views into the text), definitions store symbol ids, and the
+/// dependency-ordered instantiation maps symbols to nets through an array.
+/// A name refers only to a declared net — an INPUT, a DFF Q or a definition
+/// output — never to a helper net that decomposing a wide gate created.
+/// The Verilog reader transcodes to .bench text and parses it here.
 #pragma once
 
 #include <iosfwd>
@@ -41,6 +49,11 @@ struct BenchOptions {
 ///         undriven signals, or combinational cycles
 Netlist parse_bench(std::string_view text, std::string name,
                     const BenchOptions& options = {});
+
+/// Reads a whole file into memory.
+/// \throws std::runtime_error "<who>: cannot open <path>" when it cannot be
+///         opened
+std::string read_text_file(const std::string& path, std::string_view who);
 
 /// Loads a .bench file from disk.
 /// \throws std::runtime_error when the file cannot be read, plus everything

@@ -117,6 +117,14 @@ NodeId Netlist::add_gate(tech::GateFn fn, std::vector<NodeId> fanins,
   return out;
 }
 
+void Netlist::reserve(int nodes, int gates) {
+  node_names_.reserve(nodes);
+  by_name_.reserve(nodes);
+  driver_.reserve(nodes);
+  fanouts_.reserve(nodes);
+  gates_.reserve(gates);
+}
+
 void Netlist::mark_output(NodeId node) {
   if (node < 0 || node >= num_nodes()) {
     throw std::invalid_argument("Netlist::mark_output: no such net");
@@ -132,7 +140,7 @@ const std::string& Netlist::node_name(NodeId node) const {
 }
 
 NodeId Netlist::find_node(std::string_view node_name) const {
-  auto it = by_name_.find(std::string(node_name));
+  auto it = by_name_.find(node_name);
   if (it == by_name_.end()) {
     throw std::out_of_range("Netlist '" + name_ + "': no net named '" +
                             std::string(node_name) + "'");
@@ -141,7 +149,7 @@ NodeId Netlist::find_node(std::string_view node_name) const {
 }
 
 bool Netlist::has_node(std::string_view node_name) const {
-  return by_name_.contains(std::string(node_name));
+  return by_name_.contains(node_name);
 }
 
 std::span<const int> Netlist::fanout_gates(NodeId node) const {

@@ -85,6 +85,10 @@ class Netlist {
   NodeId add_gate(tech::GateFn fn, std::vector<NodeId> fanins,
                   std::string out_name);
 
+  /// Reserves room for \p nodes nets and \p gates gates (readers that know
+  /// the final size avoid rehashing the name index while they build).
+  void reserve(int nodes, int gates);
+
   /// Marks an existing net as a primary output.
   void mark_output(NodeId node);
 
@@ -100,7 +104,7 @@ class Netlist {
 
   const std::string& node_name(NodeId node) const;
 
-  /// Finds a net by name.
+  /// Finds a net by name (no string is built for the lookup).
   /// \throws std::out_of_range when no such net exists
   NodeId find_node(std::string_view node_name) const;
   bool has_node(std::string_view node_name) const;
@@ -153,7 +157,14 @@ class Netlist {
  private:
   std::string name_;
   std::vector<std::string> node_names_;
-  std::unordered_map<std::string, NodeId> by_name_;
+  /// Transparent hash: lookups take a string_view without copying it.
+  struct NameHash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view s) const noexcept {
+      return std::hash<std::string_view>{}(s);
+    }
+  };
+  std::unordered_map<std::string, NodeId, NameHash, std::equal_to<>> by_name_;
   std::vector<NodeId> inputs_;
   std::vector<NodeId> outputs_;
   std::vector<Gate> gates_;

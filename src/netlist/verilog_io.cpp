@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cctype>
-#include <fstream>
 #include <sstream>
 #include <stdexcept>
 #include <vector>
@@ -69,6 +68,16 @@ std::vector<std::string> tokenize(std::string_view stmt) {
   return tokens;
 }
 
+// A range bound in std::stol's syntax; its errors, overflow included, are
+// reported as a malformed range.
+long range_bound(const std::string& tok, const std::string& kind) {
+  try {
+    return std::stol(tok);
+  } catch (const std::logic_error&) {
+    throw std::invalid_argument("verilog: malformed range in " + kind);
+  }
+}
+
 bool is_primitive(const std::string& t) {
   return t == "and" || t == "nand" || t == "or" || t == "nor" || t == "xor" ||
          t == "xnor" || t == "not" || t == "buf";
@@ -76,7 +85,8 @@ bool is_primitive(const std::string& t) {
 
 }  // namespace
 
-Netlist parse_verilog(std::string_view text, std::string fallback_name) {
+VerilogAsBench transcode_verilog(std::string_view text,
+                                 std::string fallback_name) {
   const std::string clean = strip_comments(text);
 
   // Statement split on ';' (module headers end with ';' too). 'endmodule'
@@ -135,8 +145,18 @@ Netlist parse_verilog(std::string_view text, std::string fallback_name) {
         if (i + 4 >= tok.size() || tok[i + 2] != ":" || tok[i + 4] != "]") {
           throw std::invalid_argument("verilog: malformed range in " + kind);
         }
-        msb = std::stol(tok[i + 1]);
-        lsb = std::stol(tok[i + 3]);
+        msb = range_bound(tok[i + 1], kind);
+        lsb = range_bound(tok[i + 3], kind);
+        // hi >= lo, so the unsigned difference is exact.
+        if (msb >= 0 &&
+            static_cast<unsigned long>(std::max(msb, lsb)) -
+                    static_cast<unsigned long>(std::min(msb, lsb)) >=
+                static_cast<unsigned long>(kMaxVerilogBusBits)) {
+          throw std::invalid_argument("verilog: range in " + kind +
+                                      " is wider than " +
+                                      std::to_string(kMaxVerilogBusBits) +
+                                      " bits");
+        }
         i += 5;
       }
       for (; i < tok.size(); ++i) {
@@ -148,9 +168,10 @@ Netlist parse_verilog(std::string_view text, std::string fallback_name) {
           // wires need no declaration in .bench
         };
         if (msb >= 0) {
-          const long lo = std::min(msb, lsb), hi = std::max(msb, lsb);
-          for (long b = lo; b <= hi; ++b) {
-            emit(name + "[" + std::to_string(b) + "]");
+          const long lo = std::min(msb, lsb);
+          const long width = std::max(msb, lsb) - lo;  // checked above
+          for (long k = 0; k <= width; ++k) {
+            emit(name + "[" + std::to_string(lo + k) + "]");
           }
         } else {
           emit(name);
@@ -199,24 +220,25 @@ Netlist parse_verilog(std::string_view text, std::string fallback_name) {
     throw std::invalid_argument("verilog: no module found");
   }
 
+  return {std::move(module_name), bench.str()};
+}
+
+Netlist parse_verilog(std::string_view text, std::string fallback_name) {
+  VerilogAsBench vb = transcode_verilog(text, std::move(fallback_name));
   try {
-    return parse_bench(bench.str(), module_name);
+    return parse_bench(vb.bench, std::move(vb.module_name));
   } catch (const std::invalid_argument& e) {
     throw std::invalid_argument(std::string("verilog: ") + e.what());
   }
 }
 
 Netlist load_verilog(const std::string& path) {
-  std::ifstream f(path);
-  if (!f) throw std::runtime_error("load_verilog: cannot open " + path);
-  std::ostringstream ss;
-  ss << f.rdbuf();
   std::string name = path;
   const std::size_t slash = name.find_last_of('/');
   if (slash != std::string::npos) name.erase(0, slash + 1);
   const std::size_t dot = name.find_last_of('.');
   if (dot != std::string::npos) name.erase(dot);
-  return parse_verilog(ss.str(), name);
+  return parse_verilog(read_text_file(path, "load_verilog"), name);
 }
 
 std::string write_verilog(const Netlist& nl) {

@@ -26,7 +26,25 @@
 
 namespace nbtisim::netlist {
 
-/// Parses structural Verilog text.
+/// Widest `[msb:lsb]` range a declaration may expand to.
+inline constexpr long kMaxVerilogBusBits = 1L << 16;
+
+/// The .bench text parse_verilog hands to parse_bench: one INPUT/OUTPUT
+/// line per declared scalar net and one definition per primitive, under
+/// the module's name (\p fallback_name when the text names none).
+struct VerilogAsBench {
+  std::string module_name;
+  std::string bench;
+};
+
+/// Transcodes structural Verilog text to .bench text.
+/// \throws std::invalid_argument on syntax errors, unsupported constructs,
+///         or a range wider than kMaxVerilogBusBits
+VerilogAsBench transcode_verilog(std::string_view text,
+                                 std::string fallback_name = "top");
+
+/// Parses structural Verilog text: transcode_verilog, then parse_bench,
+/// whose errors gain a "verilog: " prefix.
 /// \throws std::invalid_argument on syntax errors, unsupported constructs,
 ///         undriven nets, or combinational cycles
 Netlist parse_verilog(std::string_view text, std::string fallback_name = "top");

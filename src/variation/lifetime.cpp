@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 #include "common/pool.h"
 #include "variation/sampler.h"
@@ -22,10 +23,28 @@ double LifetimeResult::quantile(double q) const {
 LifetimeResult lifetime_distribution(const aging::AgingAnalyzer& analyzer,
                                      const aging::StandbyPolicy& policy,
                                      const LifetimeParams& params) {
-  if (params.spec_margin_percent <= 0.0 || params.samples < 2 ||
-      params.sigma_vth < 0.0 || params.max_time <= 0.0 ||
-      params.time_grid_points < 4) {
-    throw std::invalid_argument("lifetime_distribution: bad parameters");
+  // Written so that NaN fails each check; an infinite value is rejected
+  // too, since it would reach the report as a silent all-survive or NaN.
+  if (!(params.spec_margin_percent > 0.0) ||
+      std::isinf(params.spec_margin_percent)) {
+    throw std::invalid_argument(
+        "lifetime_distribution: spec_margin_percent must be finite and > 0, "
+        "got " +
+        std::to_string(params.spec_margin_percent));
+  }
+  if (!(params.sigma_vth >= 0.0) || std::isinf(params.sigma_vth)) {
+    throw std::invalid_argument(
+        "lifetime_distribution: sigma_vth must be finite and >= 0, got " +
+        std::to_string(params.sigma_vth));
+  }
+  if (!(params.max_time > 0.0) || std::isinf(params.max_time)) {
+    throw std::invalid_argument(
+        "lifetime_distribution: max_time must be finite and > 0, got " +
+        std::to_string(params.max_time));
+  }
+  if (params.samples < 2 || params.time_grid_points < 4) {
+    throw std::invalid_argument(
+        "lifetime_distribution: need samples >= 2 and time_grid_points >= 4");
   }
   const sta::StaEngine& sta = analyzer.sta();
   const VthSampler sampler(analyzer, params.sigma_vth, params.seed);

@@ -14,11 +14,16 @@
 #pragma once
 
 #include <algorithm>
+#include <cctype>
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <sstream>
+#include <stdexcept>
 #include <string>
 #include <string_view>
+#include <unordered_map>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -26,6 +31,7 @@
 #include "aging/failure.h"
 #include "campaign/store.h"
 #include "common/json.h"
+#include "netlist/bench_io.h"
 #include "opt/sizing.h"
 #include "report/derate.h"
 #include "report/report.h"
@@ -695,6 +701,232 @@ inline report::Table reference_query(const std::string& store_path,
     if (table.rows.size() > n) table.rows.resize(n);
   }
   return table;
+}
+
+// ---------------------------------------------------------------------------
+// The line-at-a-time .bench parser: one istringstream per line and per
+// argument list, names resolved through string-keyed maps and the
+// netlist's own name lookup.  The oracle of the one-pass interning parser
+// (netlist::parse_bench): same node order, names, wide-gate decomposition,
+// DFF cut and error messages — except that a fanin, OUTPUT or DFF input
+// naming a decomposition helper net (`w_t0` of an earlier wide `w`) is
+// accepted here through Netlist::has_node, depending on definition order,
+// and rejected as undriven by the production parser.
+
+namespace refbench_detail {
+
+inline std::string trim(std::string_view s) {
+  std::size_t b = 0, e = s.size();
+  while (b < e && std::isspace(static_cast<unsigned char>(s[b]))) ++b;
+  while (e > b && std::isspace(static_cast<unsigned char>(s[e - 1]))) --e;
+  return std::string(s.substr(b, e - b));
+}
+
+inline std::string upper(std::string s) {
+  std::transform(s.begin(), s.end(), s.begin(),
+                 [](unsigned char c) { return std::toupper(c); });
+  return s;
+}
+
+inline tech::GateFn fn_from_name(const std::string& raw, int line_no) {
+  const std::string t = upper(raw);
+  using tech::GateFn;
+  if (t == "AND") return GateFn::And;
+  if (t == "NAND") return GateFn::Nand;
+  if (t == "OR") return GateFn::Or;
+  if (t == "NOR") return GateFn::Nor;
+  if (t == "XOR") return GateFn::Xor;
+  if (t == "XNOR") return GateFn::Xnor;
+  if (t == "NOT" || t == "INV") return GateFn::Not;
+  if (t == "BUF" || t == "BUFF") return GateFn::Buf;
+  if (t == "DFF") {
+    throw std::invalid_argument(
+        "bench line " + std::to_string(line_no) +
+        ": DFF found; pass BenchOptions{.cut_dffs = true} to cut sequential "
+        "elements");
+  }
+  throw std::invalid_argument("bench line " + std::to_string(line_no) +
+                              ": unknown gate type '" + raw + "'");
+}
+
+struct GateDef {
+  std::string out;
+  tech::GateFn fn;
+  std::vector<std::string> ins;
+  int line_no;
+};
+
+}  // namespace refbench_detail
+
+inline netlist::Netlist reference_parse_bench(
+    std::string_view text, std::string name,
+    const netlist::BenchOptions& options = {}) {
+  using namespace refbench_detail;
+  using netlist::NodeId;
+  std::vector<std::string> input_names;
+  std::vector<std::string> output_names;
+  std::vector<std::pair<std::string, std::string>> dffs;  // (q, d)
+  std::vector<GateDef> defs;
+  std::unordered_map<std::string, int> def_of;
+
+  std::istringstream in{std::string(text)};
+  std::string line;
+  int line_no = 0;
+  while (std::getline(in, line)) {
+    ++line_no;
+    const std::size_t hash = line.find('#');
+    if (hash != std::string::npos) line.erase(hash);
+    const std::string t = trim(line);
+    if (t.empty()) continue;
+
+    auto paren_arg = [&](std::string_view head) -> std::string {
+      const std::size_t open = t.find('(');
+      const std::size_t close = t.rfind(')');
+      if (open == std::string::npos || close == std::string::npos ||
+          close < open) {
+        throw std::invalid_argument("bench line " + std::to_string(line_no) +
+                                    ": malformed " + std::string(head));
+      }
+      return trim(std::string_view(t).substr(open + 1, close - open - 1));
+    };
+
+    const std::string head = upper(t.substr(0, t.find('(')));
+    if (head == "INPUT") {
+      input_names.push_back(paren_arg("INPUT"));
+      continue;
+    }
+    if (head == "OUTPUT") {
+      output_names.push_back(paren_arg("OUTPUT"));
+      continue;
+    }
+
+    const std::size_t eq = t.find('=');
+    if (eq == std::string::npos) {
+      throw std::invalid_argument("bench line " + std::to_string(line_no) +
+                                  ": expected 'name = GATE(...)'");
+    }
+    const std::string out = trim(std::string_view(t).substr(0, eq));
+    const std::string rhs = trim(std::string_view(t).substr(eq + 1));
+    const std::size_t open = rhs.find('(');
+    const std::size_t close = rhs.rfind(')');
+    if (out.empty() || open == std::string::npos ||
+        close == std::string::npos || close < open) {
+      throw std::invalid_argument("bench line " + std::to_string(line_no) +
+                                  ": malformed gate definition");
+    }
+    const std::string fn_name = trim(rhs.substr(0, open));
+    if (options.cut_dffs && upper(fn_name) == "DFF") {
+      const std::string d = trim(rhs.substr(open + 1, close - open - 1));
+      if (d.empty() || d.find(',') != std::string::npos) {
+        throw std::invalid_argument("bench line " + std::to_string(line_no) +
+                                    ": DFF must have exactly one input");
+      }
+      dffs.emplace_back(out, d);
+      input_names.push_back(out);
+      continue;
+    }
+    GateDef def;
+    def.out = out;
+    def.fn = fn_from_name(fn_name, line_no);
+    def.line_no = line_no;
+    std::string arg;
+    std::istringstream args{rhs.substr(open + 1, close - open - 1)};
+    while (std::getline(args, arg, ',')) {
+      const std::string a = trim(arg);
+      if (a.empty()) {
+        throw std::invalid_argument("bench line " + std::to_string(line_no) +
+                                    ": empty fanin");
+      }
+      def.ins.push_back(a);
+    }
+    if (def.ins.empty()) {
+      throw std::invalid_argument("bench line " + std::to_string(line_no) +
+                                  ": gate with no fanins");
+    }
+    if (def_of.contains(def.out)) {
+      throw std::invalid_argument("bench line " + std::to_string(line_no) +
+                                  ": net '" + def.out + "' driven twice");
+    }
+    def_of.emplace(def.out, static_cast<int>(defs.size()));
+    defs.push_back(std::move(def));
+  }
+
+  netlist::Netlist nl(std::move(name));
+  std::unordered_set<std::string> input_set(input_names.begin(),
+                                            input_names.end());
+  for (const std::string& pi : input_names) nl.add_input(pi);
+
+  enum class Mark : unsigned char { White, Grey, Black };
+  std::vector<Mark> mark(defs.size(), Mark::White);
+  auto instantiate = [&](int root) {
+    std::vector<std::pair<int, std::size_t>> stack{{root, 0}};
+    while (!stack.empty()) {
+      auto& [d, next_in] = stack.back();
+      GateDef& def = defs[d];
+      if (mark[d] == Mark::Black) {
+        stack.pop_back();
+        continue;
+      }
+      mark[d] = Mark::Grey;
+      bool descended = false;
+      while (next_in < def.ins.size()) {
+        const std::string& in_name = def.ins[next_in];
+        ++next_in;
+        if (input_set.contains(in_name) || nl.has_node(in_name)) continue;
+        auto it = def_of.find(in_name);
+        if (it == def_of.end()) {
+          throw std::invalid_argument("bench: net '" + in_name +
+                                      "' used at line " +
+                                      std::to_string(def.line_no) +
+                                      " is never driven");
+        }
+        if (mark[it->second] == Mark::Grey) {
+          throw std::invalid_argument("bench: combinational cycle through '" +
+                                      in_name + "'");
+        }
+        if (mark[it->second] == Mark::White) {
+          stack.emplace_back(it->second, 0);
+          descended = true;
+          break;
+        }
+      }
+      if (descended) continue;
+      std::vector<NodeId> fanins;
+      for (const std::string& in_name : def.ins) {
+        fanins.push_back(nl.find_node(in_name));
+      }
+      if (fanins.size() <= 4 && !(fanins.size() > 2 &&
+                                  (def.fn == tech::GateFn::Xor ||
+                                   def.fn == tech::GateFn::Xnor))) {
+        nl.add_gate(def.fn, std::move(fanins), def.out);
+      } else {
+        const NodeId wide = build_wide_gate(nl, def.fn, fanins, def.out);
+        nl.add_gate(tech::GateFn::Buf, {wide}, def.out);
+      }
+      mark[d] = Mark::Black;
+      stack.pop_back();
+    }
+  };
+  for (int d = 0; d < static_cast<int>(defs.size()); ++d) {
+    if (mark[d] == Mark::White) instantiate(d);
+  }
+
+  for (const std::string& po : output_names) {
+    if (!nl.has_node(po)) {
+      throw std::invalid_argument("bench: OUTPUT('" + po +
+                                  "') is never driven");
+    }
+    nl.mark_output(nl.find_node(po));
+  }
+  for (const auto& [q, d] : dffs) {
+    if (!nl.has_node(d)) {
+      throw std::invalid_argument("bench: DFF input '" + d +
+                                  "' is never driven");
+    }
+    nl.mark_output(nl.find_node(d));
+  }
+  nl.validate_topological();
+  return nl;
 }
 
 }  // namespace nbtisim::testsupport

@@ -7,6 +7,7 @@
 #include <fstream>
 
 #include "sim/simulator.h"
+#include "support/reference.h"
 
 namespace nbtisim::netlist {
 namespace {
@@ -157,6 +158,39 @@ TEST(BenchIoTest, WideGatesAreDecomposed) {
   std::vector<bool> one_zero(7, true);
   one_zero[3] = false;
   EXPECT_TRUE(s.outputs(one_zero)[0]);
+}
+
+// Decomposing `w = AND(a, b, c, d, e)` creates helper nets named w_t<k>.
+// They are not declared nets: a fanin, OUTPUT or DFF input naming one is
+// undriven, whatever the definition order (the line-at-a-time parser this
+// one replaced accepted it when the wide gate happened to be built first).
+TEST(BenchIoTest, WideGateHelperNetsAreNotDeclaredNets) {
+  const std::string wide =
+      "INPUT(a)\nINPUT(b)\nINPUT(c)\nINPUT(d)\nINPUT(e)\nOUTPUT(w)\n"
+      "w = AND(a, b, c, d, e)\n";
+  const auto message_for = [](const std::string& text, BenchOptions opt) {
+    try {
+      parse_bench(text, "helper", opt);
+    } catch (const std::invalid_argument& e) {
+      return std::string(e.what());
+    }
+    return std::string("accepted");
+  };
+  const Netlist nl = parse_bench(wide, "helper");
+  ASSERT_TRUE(nl.has_node("w_t0"));  // the helper exists...
+  // ...but names no declared net.
+  EXPECT_EQ(message_for(wide + "OUTPUT(y)\ny = NOT(w_t0)\n", {}),
+            "bench: net 'w_t0' used at line 9 is never driven");
+  EXPECT_NO_THROW(testsupport::reference_parse_bench(
+      wide + "OUTPUT(y)\ny = NOT(w_t0)\n", "helper"));
+  EXPECT_EQ(message_for(wide + "OUTPUT(w_t0)\n", {}),
+            "bench: OUTPUT('w_t0') is never driven");
+  EXPECT_EQ(message_for(wide + "q = DFF(w_t0)\n", {.cut_dffs = true}),
+            "bench: DFF input 'w_t0' is never driven");
+  // Declaring a net of that name collides with the helper instead.
+  EXPECT_EQ(message_for(wide + "OUTPUT(y)\nw_t0 = NOT(a)\ny = NOT(w_t0)\n",
+                        {}),
+            "Netlist 'helper': duplicate net 'w_t0'");
 }
 
 TEST(BenchIoTest, RoundTripPreservesSemantics) {

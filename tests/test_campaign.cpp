@@ -427,6 +427,19 @@ class CampaignRunTest : public ::testing::Test {
 CampaignSpec* CampaignRunTest::spec_ = nullptr;
 std::string CampaignRunTest::path_serial_;
 
+// A campaign's inner engines run on the spec's worker count.  They used to
+// get 0 — every hardware thread at top level — so `--threads 1` still fanned
+// the inner loops out over the whole machine.
+TEST(CampaignPoolTest, ContextPoolRunsOnTheSpecThreadCount) {
+  for (int n : {0, 1, 3}) {
+    CampaignSpec spec = tiny_spec();
+    spec.n_threads = n;
+    const analysis::ContextPool pool = campaign_context_pool(spec);
+    EXPECT_EQ(pool.n_threads(), n);
+    EXPECT_EQ(pool.params().sp_vectors, spec.params.sp_vectors);
+  }
+}
+
 TEST_F(CampaignRunTest, StoreHasOneRowPerTaskInGridOrder) {
   const ResultStore store(path_serial_);
   const std::vector<Task> grid = expand(*spec_);

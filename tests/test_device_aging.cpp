@@ -206,27 +206,25 @@ TEST_F(DeviceAgingTest, MakeContextRejectsNanStressProbability) {
   EXPECT_THROW(model_.make_context(bad, ras(9, 330.0)), std::invalid_argument);
 }
 
-TEST_F(DeviceAgingTest, PrefixOverloadMatchesOracleContext) {
+TEST_F(DeviceAgingTest, PrefixedContextMatchesOracleContext) {
   const ModeSchedule s = ras(9, 330.0);
   for (const DeviceStress& stress :
        {worst_, DeviceStress{0.2, StandbyMode::Relaxed, 1.0, 0.25},
-        DeviceStress{0.0, StandbyMode::Relaxed, 1.0, 0.22}}) {
-    const double duty = model_.equivalent_duty(stress, s);
-    const DeviceAging::StressContext want = model_.make_context(stress, s);
-    const DeviceAging::StressContext got =
-        model_.make_context(stress, s, make_sn_prefix(duty));
-    EXPECT_EQ(got.always_zero, want.always_zero);
-    EXPECT_EQ(got.ac.duty, want.ac.duty);
-    EXPECT_EQ(got.prefix.duty, want.prefix.duty);
-    EXPECT_EQ(got.prefix.s, want.prefix.s);
-    EXPECT_EQ(got.prefix.step, want.prefix.step);
-    EXPECT_EQ(got.kv, want.kv);
-    for (double t : {1.0e3, 1.0e6, 3.0e8}) {
-      EXPECT_EQ(model_.delta_vth(got, t), model_.delta_vth(want, t)) << t;
+        DeviceStress{0.0, StandbyMode::Relaxed, 1.0, 0.22},
+        DeviceStress{1.0, StandbyMode::Stressed, 1.0, 0.22}}) {
+    const DeviceAging::StressContext oracle = model_.make_context(stress, s);
+    EXPECT_EQ(oracle.prefix, nullptr);
+    const SnPrefix prefix = make_sn_prefix(oracle.ac.duty);
+    DeviceAging::StressContext prefixed = oracle;
+    prefixed.prefix = &prefix;
+    // Horizons below, at and above the exact-recursion head.
+    for (double t : {2.0e3, 1.0e4, 1.0e5, 1.0e6, 3.0e8}) {
+      EXPECT_EQ(model_.delta_vth(prefixed, t), model_.delta_vth(oracle, t))
+          << t;
+      EXPECT_EQ(model_.delta_vth(prefixed, t), model_.delta_vth(stress, s, t))
+          << t;
     }
   }
-  EXPECT_THROW(model_.make_context(worst_, s, make_sn_prefix(0.5)),
-               std::invalid_argument);
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <random>
 #include <thread>
@@ -313,7 +314,18 @@ TEST(DifferentialTest, RdKernelMatchesScalarDeviceModelAcrossRandomContexts) {
       s.vth0 = 0.18 + 0.08 * u(rng);
       ctxs.push_back(model.make_context(s, schedule));
     }
-    const nbti::RdKernel kernel(model, ctxs);
+    // The kernel packs contexts that point at S_n prefixes, as the
+    // analyzer's duty memo supplies them; the oracle contexts carry none.
+    std::vector<nbti::SnPrefix> prefixes;
+    prefixes.reserve(ctxs.size());
+    std::vector<nbti::DeviceAging::StressContext> packed;
+    for (const nbti::DeviceAging::StressContext& ctx : ctxs) {
+      prefixes.push_back(nbti::make_sn_prefix(ctx.ac.duty));
+      nbti::DeviceAging::StressContext with_prefix = ctx;
+      if (!ctx.always_zero) with_prefix.prefix = &prefixes.back();
+      packed.push_back(with_prefix);
+    }
+    const nbti::RdKernel kernel(model, packed);
     ASSERT_EQ(kernel.num_devices(), static_cast<int>(ctxs.size()));
 
     std::vector<double> out(ctxs.size());
@@ -404,8 +416,8 @@ TEST(DifferentialTest, DutyMemoMatchesOracleThroughEvictionAndInvalidation) {
 
 TEST(DifferentialTest, DutyMemoConcurrentBuildsMatchOracle) {
   // Several callers build descriptors on one analyzer at once while another
-  // drops its caches: each build reads its own memo snapshot, so every
-  // answer is still the oracle's.
+  // drops its caches: each kernel keeps the memo it points into alive, so
+  // every answer is still the oracle's.
   const tech::Library lib;
   const netlist::Netlist nl = netlist::iscas85_like("c432");
   const std::vector<aging::StandbyPolicy> policies =
@@ -433,6 +445,103 @@ TEST(DifferentialTest, DutyMemoConcurrentBuildsMatchOracle) {
   }
   for (std::thread& t : callers) t.join();
   for (int c = 0; c < kCallers; ++c) EXPECT_EQ(mismatches[c], 0) << c;
+}
+
+// --- Short-horizon S_n: checkpointed prefixes vs the full recursion --------
+
+TEST(DifferentialTest, SnPrefixCheckpointsMatchFullRecursionBitwise) {
+  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  std::vector<double> duties = {0.0,
+                                std::nextafter(0.0, 1.0),
+                                std::numeric_limits<double>::min(),
+                                1.0e-9,
+                                0.25,
+                                0.5,
+                                0.7316,
+                                std::nextafter(1.0, 0.0),
+                                1.0};
+  std::mt19937_64 rng(1024);
+  std::uniform_real_distribution<double> u(0.0, 1.0);
+  for (int k = 0; k < 6; ++k) duties.push_back(u(rng));
+
+  std::vector<double> fractional;
+  for (int k = 0; k < 64; ++k) fractional.push_back(1.0 + 1100.0 * u(rng));
+  for (double edge : {1.0, 64.0, 65.0, 128.0, 1023.0, 1024.0}) {
+    fractional.push_back(std::nextafter(edge, 0.0));
+    fractional.push_back(std::nextafter(edge, 2048.0));
+    fractional.push_back(edge + 0.5);
+  }
+  for (double far : {1.5e3, 3.3e5, 2.0e9, 1.0e14}) fractional.push_back(far);
+
+  for (double duty : duties) {
+    SCOPED_TRACE(::testing::Message() << "duty=" << duty);
+    const nbti::SnPrefix prefix = nbti::make_sn_prefix(duty);
+    for (int n = 1; n <= 1024; ++n) {
+      ASSERT_EQ(bits(nbti::sn_closed(prefix, n)),
+                bits(nbti::sn_closed(duty, n)))
+          << "n=" << n;
+    }
+    for (double n : fractional) {
+      if (n < 1.0) continue;
+      ASSERT_EQ(bits(nbti::sn_closed(prefix, n)),
+                bits(nbti::sn_closed(duty, n)))
+          << "n=" << n;
+    }
+  }
+}
+
+// The lifetime analysis evaluates gate_dvth on a geometric grid that starts
+// milliseconds in, so most of its horizons land inside the exact-recursion
+// head, where the analyzer resumes from memoized checkpoints.  Every grid
+// point must be the oracle's, on any thread count, while other callers
+// build policies and drop the memo under the evaluations.
+TEST(DifferentialTest, ShortHorizonGateDvthMatchesOracleUnderInvalidation) {
+  const tech::Library lib;
+  const netlist::Netlist nl = netlist::iscas85_like("c432");
+  std::vector<aging::StandbyPolicy> policies = memo_policies(nl.num_inputs());
+  policies.resize(4);  // stressed, relaxed, two vectors
+  policies.push_back(memo_policies(nl.num_inputs()).back());  // rotating
+  std::vector<double> grid;
+  for (int k = 0; k < 40; ++k) grid.push_back(9.5e8 / std::pow(2.0, 38 - k));
+
+  std::vector<std::vector<std::vector<double>>> want(policies.size());
+  {
+    const aging::AgingAnalyzer oracle_an(nl, lib, fast_conditions());
+    for (std::size_t p = 0; p < policies.size(); ++p) {
+      for (double t : grid) {
+        want[p].push_back(
+            testsupport::reference_gate_dvth(oracle_an, policies[p], t));
+      }
+    }
+  }
+
+  for (int n_threads : {1, 4}) {
+    aging::AgingConditions cond = fast_conditions();
+    cond.n_threads = n_threads;
+    const aging::AgingAnalyzer an(nl, lib, cond);
+    constexpr int kCallers = 3;
+    std::vector<int> mismatches(kCallers, 0);
+    std::vector<std::thread> callers;
+    for (int c = 0; c < kCallers; ++c) {
+      callers.emplace_back([&, c] {
+        for (std::size_t k = 0; k < policies.size(); ++k) {
+          const std::size_t p = (k + static_cast<std::size_t>(c)) %
+                                policies.size();
+          for (std::size_t g = 0; g < grid.size(); ++g) {
+            if (c == 0 && g % 13 == 7) an.invalidate_stress_cache();
+            if (an.gate_dvth(policies[p], grid[g]) != want[p][g]) {
+              ++mismatches[c];
+            }
+          }
+        }
+      });
+    }
+    for (std::thread& t : callers) t.join();
+    for (int c = 0; c < kCallers; ++c) {
+      EXPECT_EQ(mismatches[c], 0) << "n_threads=" << n_threads << " caller "
+                                  << c;
+    }
+  }
 }
 
 TEST(DifferentialTest, LazyLeakageTableMatchesCellLeakageAcrossThreads) {

@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+#include <string>
+
 #include "netlist/generators.h"
 #include "tech/units.h"
 
@@ -155,6 +159,59 @@ TEST_F(LifetimeTest, RejectsBadParameters) {
                std::invalid_argument);
   LifetimeResult empty;
   EXPECT_THROW(empty.quantile(0.5), std::logic_error);
+}
+
+// Each real-valued knob is checked so that NaN (and infinity) fails, and the
+// message names the knob: a NaN margin used to pass `<= 0.0` and print a
+// plausible table.
+TEST_F(LifetimeTest, RejectsNonFiniteParameters) {
+  const auto message_for = [&](const LifetimeParams& p) -> std::string {
+    try {
+      lifetime_distribution(*analyzer_, aging::StandbyPolicy::all_stressed(),
+                            p);
+    } catch (const std::invalid_argument& e) {
+      return e.what();
+    }
+    return "accepted";
+  };
+  const double nan = std::nan("");
+  const double inf = std::numeric_limits<double>::infinity();
+  for (double bad : {nan, inf, -inf}) {
+    SCOPED_TRACE(bad);
+    EXPECT_NE(message_for({.spec_margin_percent = bad, .samples = 4})
+                  .find("spec_margin_percent"),
+              std::string::npos);
+    EXPECT_NE(message_for({.sigma_vth = bad, .samples = 4}).find("sigma_vth"),
+              std::string::npos);
+    EXPECT_NE(message_for({.samples = 4, .max_time = bad}).find("max_time"),
+              std::string::npos);
+  }
+  EXPECT_NE(message_for({.sigma_vth = -0.001, .samples = 4}).find("sigma_vth"),
+            std::string::npos);
+  EXPECT_NE(message_for({.samples = 4, .max_time = 0.0}).find("max_time"),
+            std::string::npos);
+}
+
+// The nominal dVth(t) grid starts milliseconds in, where most horizons sit
+// inside the exact S_n recursion head: the grid (memoized prefixes with
+// checkpoints) and the per-sample bisection must give the same doubles on
+// 1, 4 and 8 threads, analyzer and samples alike.
+TEST_F(LifetimeTest, BitIdenticalAcrossAnalyzerThreadCounts) {
+  std::vector<double> want;
+  for (int n : {1, 4, 8}) {
+    aging::AgingConditions cond = cond_;
+    cond.n_threads = n;
+    const aging::AgingAnalyzer analyzer(c432_, lib_, cond);
+    const LifetimeResult r = lifetime_distribution(
+        analyzer, aging::StandbyPolicy::all_stressed(),
+        {.spec_margin_percent = 2.0, .samples = 24, .seed = 5,
+         .n_threads = n});
+    if (want.empty()) {
+      want = r.lifetimes;
+    } else {
+      EXPECT_EQ(r.lifetimes, want) << n;
+    }
+  }
 }
 
 }  // namespace

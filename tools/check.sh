@@ -6,7 +6,9 @@
 #
 # Presets (CMakePresets.json):
 #   default           RelWithDebInfo, full ctest suite
-#   sanitize          ASan build, `ctest -L determinism` slice
+#   sanitize          ASan build, `ctest -L 'determinism|hardening'` slices
+#                     (thread-count bit-identity, differential oracles and
+#                     the .bench/.v mutation harness)
 #   tsan-determinism  TSan build, determinism slice via its test preset
 #                     (bit-identity across thread counts must hold data-race
 #                     clean — the work pool's core contract)
@@ -78,7 +80,7 @@ fi
 
 run cmake --preset sanitize
 run cmake --build --preset sanitize -j "$JOBS"
-run ctest --test-dir build-asan -L determinism -j "$JOBS" --output-on-failure
+run ctest --test-dir build-asan -L 'determinism|hardening' -j "$JOBS" --output-on-failure
 
 run cmake --preset tsan-determinism
 run cmake --build --preset tsan-determinism -j "$JOBS"
